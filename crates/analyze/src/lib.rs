@@ -434,15 +434,17 @@ pub fn lint_atomics(files: &[SourceFile], allowlist_src: &str) -> Vec<Finding> {
 const HOT_PATH_SUPPRESSION: &str = "lint:allow(hot-path-lock)";
 
 /// Hot-path modules where a blocking lock is a design violation: the
-/// request-buffer relaxation core, the parallel kernels, the
-/// generalized stepping loop, and the resident service (whose locks
-/// must all be request-rate control state, never per-edge — each
-/// deliberate one carries its reason).
+/// request-buffer relaxation core, the bucket ring and the fused loop,
+/// the parallel kernels, the generalized stepping loop, and the resident
+/// service (whose locks must all be request-rate control state, never
+/// per-edge — each deliberate one carries its reason).
 pub fn is_hot_path(rel: &str) -> bool {
     rel.starts_with("crates/core/src/parallel")
         || rel == "crates/core/src/reqbuf.rs"
         || rel == "crates/core/src/pull.rs"
         || rel == "crates/core/src/stepping.rs"
+        || rel == "crates/core/src/buckets.rs"
+        || rel == "crates/core/src/fused.rs"
         || rel.starts_with("crates/gblas/src/parallel")
         || rel == "crates/gblas/src/direction.rs"
         || rel.starts_with("crates/serve/src/")
@@ -1538,7 +1540,7 @@ reason = "heuristic counter, never load-acquired"
         );
         assert!(lint_hot_path_locks(&ok).is_empty());
 
-        let elsewhere = sf("crates/core/src/buckets.rs", "use std::sync::Mutex;\n");
+        let elsewhere = sf("crates/core/src/manifest.rs", "use std::sync::Mutex;\n");
         assert!(lint_hot_path_locks(&elsewhere).is_empty());
 
         // The dense-pull kernel and the density oracle are hot paths too.
@@ -1551,6 +1553,13 @@ reason = "heuristic counter, never load-acquired"
         // strategy framework: its extraction scan is per-vertex work.
         let stepping = sf("crates/core/src/stepping.rs", "use std::sync::Mutex;\n");
         assert_eq!(lint_hot_path_locks(&stepping).len(), 1);
+
+        // The bucket ring every bucket loop extracts from, and the fused
+        // loop around it, run once per relaxation too.
+        for rel in ["crates/core/src/buckets.rs", "crates/core/src/fused.rs"] {
+            let hot = sf(rel, "use std::sync::Mutex;\n");
+            assert_eq!(lint_hot_path_locks(&hot).len(), 1, "{rel}");
+        }
     }
 
     // -- lint 4 ----------------------------------------------------------

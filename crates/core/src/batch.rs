@@ -997,28 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_panic_retries_sequentially_with_the_same_strategy() {
-        let g = grid();
-        let runner = BatchRunner::new(BatchConfig {
-            implementation: Implementation::ParallelImproved,
-            strategy: SteppingStrategy::DeltaStar(2.0),
-            workers: 1,
-            ..BatchConfig::default()
-        });
-        taskpool::fault::arm_panic_after(0);
-        let report = runner.run(&g, &[0]);
-        taskpool::fault::disarm();
-        match &report.jobs[0].1 {
-            BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
-                assert!(degraded.is_some());
-                assert!(degraded_by_panic);
-                assert_eq!(result.dist, dijkstra(&g, 0).dist);
-            }
-            other => panic!("expected degraded Complete, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn admission_control_rejects_beyond_capacity() {
         let g = grid();
         let runner = BatchRunner::new(BatchConfig {
@@ -1075,29 +1053,6 @@ mod tests {
                 other => panic!("expected Partial, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn injected_panic_retries_once_on_sequential_fused() {
-        let g = grid();
-        let runner = BatchRunner::new(BatchConfig {
-            implementation: Implementation::ParallelImproved,
-            workers: 1,
-            ..BatchConfig::default()
-        });
-        taskpool::fault::arm_panic_after(0);
-        let report = runner.run(&g, &[0]);
-        taskpool::fault::disarm();
-        match &report.jobs[0].1 {
-            BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
-                let message = degraded.as_ref().expect("job must be marked degraded");
-                assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
-                assert!(degraded_by_panic, "typed marker must identify the panic");
-                assert_eq!(result.dist, dijkstra(&g, 0).dist);
-            }
-            other => panic!("expected degraded Complete, got {other:?}"),
-        }
-        assert_eq!(report.degraded(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use graphdata::CsrGraph;
 
-use crate::buckets::BucketQueue;
+use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
 use crate::checkpoint::{LiveState, StopPoint};
 use crate::delta::bucket_of;
@@ -40,21 +40,30 @@ impl SplitAdjacency {
     }
 }
 
-/// One `relax(v, new_dist)` (Sec. III-C): improve the tentative distance
-/// and move the vertex between buckets.
-fn relax(
-    v: usize,
-    new_dist: f64,
+/// `relax(w, x)` (Sec. III-C) for every request, on the shared bucket
+/// ring: each improvement moves its vertex to its new bucket. The ones
+/// landing back in the current bucket `i` — or below it, which only
+/// negative weights allow — are collected, once each and in vertex order,
+/// in `refill` for another pass over `B[i]`.
+fn relax_all(
+    requests: &[(usize, f64)],
+    i: usize,
     delta: f64,
     result: &mut SsspResult,
-    buckets: &mut BucketQueue,
+    buckets: &mut BucketRing,
+    refill: &mut Vec<usize>,
 ) {
-    result.stats.relaxations += 1;
-    if new_dist < result.dist[v] {
-        result.stats.improvements += 1;
-        buckets.insert(v, bucket_of(new_dist, delta));
-        result.dist[v] = new_dist;
+    refill.clear();
+    for &(v, x) in requests {
+        result.stats.relaxations += 1;
+        let improved =
+            buckets.merge(&mut result.dist, v, x, &mut result.stats.improvements, refill);
+        if improved && bucket_of(x, delta) < i {
+            refill.push(v);
+        }
     }
+    refill.sort_unstable();
+    refill.dedup();
 }
 
 /// Meyer–Sanders delta-stepping with explicit buckets.
@@ -90,12 +99,19 @@ pub fn delta_stepping_canonical_checked(
     }
     let adj = SplitAdjacency::build(g, delta);
     let mut result = SsspResult::init(n, source);
-    let mut buckets = BucketQueue::new(n);
     // relax(s, 0): Fig. 1 right. init() already set dist[source] = 0.
-    buckets.insert(source, 0);
+    let mut buckets = BucketRing::new();
+    buckets.start(n, delta, source);
 
     let mut requests: Vec<(usize, f64)> = Vec::new();
-    while let Some(i) = buckets.min_bucket() {
+    let mut batch: Vec<usize> = Vec::new();
+    let mut refill: Vec<usize> = Vec::new();
+    let mut i = 0;
+    while let Some(b) = buckets.take(i, &mut batch) {
+        if b != i {
+            i = b; // skip to the smallest non-empty bucket
+            continue;
+        }
         if let Err(stop) = budget.check() {
             return Err(LiveState {
                 implementation: "canonical",
@@ -115,57 +131,55 @@ pub fn delta_stepping_canonical_checked(
         result.stats.buckets_processed += 1;
         // S: vertices that have left bucket i this round (deleted set).
         let mut settled: Vec<usize> = Vec::new();
-        // Inner loop: light-edge phases until B[i] stays empty.
-        loop {
-            let batch = buckets.take_bucket(i);
-            if batch.is_empty() {
-                break;
-            }
-            if let Err(stop) = budget.check() {
-                // The batch has already left the bucket queue, so this
-                // checkpoint is informational only (not resumable) — but
-                // the distances and the settled_below bound stay valid.
-                return Err(LiveState {
-                    implementation: "canonical",
-                    source,
-                    delta,
-                    dist: &result.dist,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier: &batch,
-                    settled: &settled,
-                    resumable: false,
-                    stepping: None,
+        // Bucket i is done once neither phase lands a vertex back in it.
+        while !batch.is_empty() {
+            // Inner loop: light-edge phases until B[i] stays empty.
+            while !batch.is_empty() {
+                if let Err(stop) = budget.check() {
+                    // The batch has already left the bucket queue, so this
+                    // checkpoint is informational only (not resumable) — but
+                    // the distances and the settled_below bound stay valid.
+                    return Err(LiveState {
+                        implementation: "canonical",
+                        source,
+                        delta,
+                        dist: &result.dist,
+                        stats: &result.stats,
+                        bucket: i,
+                        stop_point: StopPoint::LightPhase,
+                        frontier: &batch,
+                        settled: &settled,
+                        resumable: false,
+                        stepping: None,
+                    }
+                    .stop(stop));
                 }
-                .stop(stop));
+                result.stats.light_phases += 1;
+                // Req = {(w, tent(v) + c(v, w)) : v ∈ B[i], (v, w) light}
+                requests.clear();
+                for &v in &batch {
+                    let tv = result.dist[v];
+                    for &(w, c) in &adj.light[v] {
+                        requests.push((w, tv + c));
+                    }
+                }
+                settled.extend_from_slice(&batch);
+                relax_all(&requests, i, delta, &mut result, &mut buckets, &mut refill);
+                std::mem::swap(&mut batch, &mut refill);
             }
-            result.stats.light_phases += 1;
-            // Req = {(w, tent(v) + c(v, w)) : v ∈ B[i], (v, w) light}
+            // Heavy phase over everything settled from bucket i.
+            result.stats.heavy_phases += 1;
             requests.clear();
-            for &v in &batch {
+            for &v in &settled {
                 let tv = result.dist[v];
-                for &(w, c) in &adj.light[v] {
+                for &(w, c) in &adj.heavy[v] {
                     requests.push((w, tv + c));
                 }
             }
-            settled.extend_from_slice(&batch);
-            for &(v, x) in &requests {
-                relax(v, x, delta, &mut result, &mut buckets);
-            }
+            settled.clear();
+            relax_all(&requests, i, delta, &mut result, &mut buckets, &mut batch);
         }
-        // Heavy phase over everything settled from bucket i.
-        result.stats.heavy_phases += 1;
-        requests.clear();
-        for &v in &settled {
-            let tv = result.dist[v];
-            for &(w, c) in &adj.heavy[v] {
-                requests.push((w, tv + c));
-            }
-        }
-        for &(v, x) in &requests {
-            relax(v, x, delta, &mut result, &mut buckets);
-        }
+        i += 1;
     }
     Ok(result)
 }

@@ -45,7 +45,7 @@ const IMPLEMENTATION_TAGS: [&str; 7] =
 /// Where inside a bucket the run was stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopPoint {
-    /// At an outer epoch boundary: about to scan for the members of
+    /// At an outer epoch boundary: about to extract the members of
     /// `bucket`. The frontier and settled sets are empty.
     BucketStart,
     /// At a light-phase boundary inside `bucket`: the frontier holds the

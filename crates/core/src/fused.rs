@@ -10,7 +10,9 @@
 //!    intermediates.
 //! 2. *Fused vector updates*: the three dependent vector operations that
 //!    compute `t_Bi`, `S`, and `t` happen in a single pass over the touched
-//!    vertices (plus one pass over `t` per bucket for bucket detection).
+//!    vertices. The same pass keeps the lazy bucket ring
+//!    ([`crate::buckets::BucketRing`]) current, so finding the next
+//!    bucket costs O(frontier) instead of the C code's pass over `t`.
 //!
 //! Unlike the GraphBLAS version, state lives in dense arrays (`Vec<f64>`,
 //! `Vec<bool>`) exactly like the paper's direct C implementation.
@@ -21,9 +23,9 @@ use std::time::Instant;
 use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
 
+use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
 use crate::checkpoint::{Checkpoint, LiveState, StopPoint};
-use crate::delta::bucket_of;
 use crate::guard::SsspError;
 use crate::pull::{self, PullIndex};
 use crate::result::SsspResult;
@@ -174,10 +176,22 @@ impl ReqBuffer {
             self.req[u] = cand;
         }
     }
+
+    /// Hand every touched `(u, t_Req[u])` to `f` in touch order, resetting
+    /// the accumulator for the next phase.
+    #[inline]
+    fn drain(&mut self, mut f: impl FnMut(usize, f64)) {
+        for &u in &self.touched {
+            f(u, self.req[u]);
+            self.req[u] = INF;
+        }
+        self.touched.clear();
+    }
 }
 
 /// Reusable per-run state for [`delta_stepping_fused_with`]: the dense
-/// request accumulator and the frontier/settled scratch vectors. Callers
+/// request accumulator, the bucket ring and the frontier/settled scratch
+/// vectors. Callers
 /// that run many queries (multi-source, bench loops) keep one of these so
 /// repeated runs allocate nothing.
 pub struct FusedWorkspace {
@@ -187,6 +201,7 @@ pub struct FusedWorkspace {
     /// Frontier bitmap for dense (pull) epochs — all-`false` between
     /// phases, set and cleared by iterating the (sparse) frontier.
     in_frontier: Vec<bool>,
+    ring: BucketRing,
 }
 
 impl std::fmt::Debug for FusedWorkspace {
@@ -205,6 +220,7 @@ impl FusedWorkspace {
             frontier: Vec::new(),
             settled: Vec::new(),
             in_frontier: vec![false; n],
+            ring: BucketRing::new(),
         }
     }
 
@@ -345,23 +361,28 @@ fn fused_loop(
         frontier,
         settled,
         in_frontier,
+        ring,
     } = ws;
     frontier.clear();
     settled.clear();
 
-    let mut i = bucket_of(0.0, delta); // source's bucket: 0
+    let mut i = 0; // the source's bucket
     // Continuing mid-bucket re-enters the light-phase loop with the saved
     // frontier/settled sets, skipping the outer boundary work (budget
-    // check, bucket scan, buckets_processed) that already happened before
+    // check, bucket take, buckets_processed) that already happened before
     // the interruption.
     let mut entering_mid = false;
-    if let Some(cp) = resume {
-        result.dist.clone_from(&cp.dist);
-        result.stats = cp.stats.clone();
-        i = cp.bucket;
-        frontier.extend_from_slice(&cp.frontier);
-        settled.extend_from_slice(&cp.settled);
-        entering_mid = cp.stop_point == StopPoint::LightPhase;
+    match resume {
+        Some(cp) => {
+            result.dist.clone_from(&cp.dist);
+            result.stats = cp.stats.clone();
+            i = cp.bucket;
+            frontier.extend_from_slice(&cp.frontier);
+            settled.extend_from_slice(&cp.settled);
+            entering_mid = cp.stop_point == StopPoint::LightPhase;
+            ring.resume(&cp.dist, delta, i, !entering_mid);
+        }
+        None => ring.start(n, delta, source),
     }
 
     let t = &mut result.dist;
@@ -386,26 +407,18 @@ fn fused_loop(
                 }
                 .stop(stop));
             }
-            // Vector phase: find the members of bucket i (one scan of t), or
-            // the next non-empty bucket if i is empty.
+            // Vector phase: take the members of bucket i from the ring, or
+            // learn the next non-empty bucket if i is empty.
             let t0 = Instant::now();
-            frontier.clear();
-            let mut next_bucket = usize::MAX;
-            for (v, &tv) in t.iter().enumerate() {
-                let b = bucket_of(tv, delta);
-                if b == i {
-                    frontier.push(v);
-                } else if b > i && b < next_bucket {
-                    next_bucket = b;
-                }
-            }
+            let next = ring.take(i, frontier);
             profile.vector_ops += t0.elapsed();
-            if frontier.is_empty() {
-                if next_bucket == usize::MAX {
-                    break; // no vertex at distance >= i*delta: done
+            match next {
+                None => break, // no vertex at distance >= i*delta: done
+                Some(b) if b != i => {
+                    i = b;
+                    continue;
                 }
-                i = next_bucket;
-                continue;
+                Some(_) => {}
             }
 
             result.stats.buckets_processed += 1;
@@ -480,18 +493,9 @@ fn fused_loop(
             let t0 = Instant::now();
             settled.extend_from_slice(frontier);
             frontier.clear();
-            for &u in &reqs.touched {
-                let cand = reqs.req[u];
-                reqs.req[u] = INF;
-                if cand < t[u] {
-                    result.stats.improvements += 1;
-                    t[u] = cand;
-                    if bucket_of(cand, delta) == i {
-                        frontier.push(u);
-                    }
-                }
-            }
-            reqs.touched.clear();
+            reqs.drain(|u, cand| {
+                ring.merge(t, u, cand, &mut result.stats.improvements, frontier);
+            });
             profile.vector_ops += t0.elapsed();
         }
 
@@ -509,15 +513,9 @@ fn fused_loop(
         profile.relaxation += t0.elapsed();
 
         let t0 = Instant::now();
-        for &u in &reqs.touched {
-            let cand = reqs.req[u];
-            reqs.req[u] = INF;
-            if cand < t[u] {
-                result.stats.improvements += 1;
-                t[u] = cand;
-            }
-        }
-        reqs.touched.clear();
+        reqs.drain(|u, cand| {
+            ring.merge(t, u, cand, &mut result.stats.improvements, frontier);
+        });
         profile.vector_ops += t0.elapsed();
 
         i += 1;
@@ -678,6 +676,43 @@ mod tests {
                 "cancelled at epoch {k}"
             );
             assert_eq!(resumed.stats, full.stats, "cancelled at epoch {k}");
+        }
+    }
+
+    /// A weighted grid whose heavy edges leave empty buckets between the
+    /// occupied ones at Δ = 0.5, so runs jump bucket gaps (the same graph
+    /// `tests/determinism.rs` pins budget ticks on).
+    fn bucket_skip_grid() -> CsrGraph {
+        let mut el = grid2d(12, 12);
+        graphdata::weights::assign_symmetric(
+            &mut el,
+            graphdata::WeightModel::UniformFloat { lo: 0.05, hi: 4.0 },
+            7,
+        );
+        CsrGraph::from_edge_list(&el).unwrap()
+    }
+
+    /// Extraction work scales with the frontier, not with |V| × buckets:
+    /// every ring entry comes from an improvement (or the source) and is
+    /// visited once.
+    #[test]
+    fn extraction_visits_at_most_one_entry_per_improvement() {
+        for (g, delta) in [
+            (CsrGraph::from_edge_list(&path(100_000)).unwrap(), 1.0),
+            (bucket_skip_grid(), 0.5),
+        ] {
+            let lh = LightHeavy::build(&g, delta);
+            let mut ws = FusedWorkspace::new(g.num_vertices());
+            let (r, _) =
+                delta_stepping_fused_with(&g, &lh, 0, delta, &mut RunBudget::unlimited(), &mut ws)
+                    .unwrap();
+            assert_eq!(r.dist, dijkstra(&g, 0).dist);
+            assert!(
+                ws.ring.visited() <= r.stats.improvements + 1,
+                "{} entries visited for {} improvements",
+                ws.ring.visited(),
+                r.stats.improvements
+            );
         }
     }
 

@@ -6,10 +6,10 @@
 //!
 //! | module | paper artifact |
 //! |---|---|
-//! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) |
+//! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) — the [`buckets`] ring every bucket loop shares |
 //! | [`gblas_impl`] | the **unfused GraphBLAS** implementation (Fig. 2, call-for-call) |
 //! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) |
-//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks + evenly-sized vector chunk tasks) |
+//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks; its chunked vector scans are costed in [`parallel_sim`]) |
 //! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering + contention-free request-buffer relaxation ([`reqbuf`]) |
 //! | [`parallel_atomic`] | the prior atomic-CAS relaxation scheme, kept as the before/after benchmark baseline |
 //! | [`dijkstra`], [`bellman_ford`] | classic baselines |

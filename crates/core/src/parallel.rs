@@ -5,8 +5,11 @@
 //!   and were each made into a task" — two coarse tasks, so this phase
 //!   never scales past two threads (the bottleneck the paper measures);
 //! * "the computation and filtering of vectors was performed by splitting
-//!   the vector into evenly-sized tasks" — the dense bucket-detection scan
-//!   is chunked;
+//!   the vector into evenly-sized tasks" — that dense bucket-detection
+//!   scan is what [`crate::parallel_sim`]'s Fig. 4 cost model charges;
+//!   here, like every bucket loop, the buckets come from the lazy
+//!   [`crate::buckets::BucketRing`], whose extraction is proportional to
+//!   the frontier and needs no tasks;
 //! * the relaxation products themselves stay sequential, as in the paper
 //!   ("parallelizing within the matrix-vector operations … would improve
 //!   performance and scalability" is future work there, and is implemented
@@ -15,11 +18,11 @@
 use std::time::Instant;
 
 use graphdata::CsrGraph;
-use taskpool::{join, scope_collect, split_evenly, ThreadPool};
+use taskpool::{join, ThreadPool};
 
+use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
 use crate::checkpoint::{LiveState, StopPoint};
-use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
 use crate::result::SsspResult;
@@ -61,54 +64,6 @@ pub fn split_light_heavy_two_tasks(pool: &ThreadPool, g: &CsrGraph, delta: f64) 
         heavy_w,
         pull: std::sync::OnceLock::new(),
     }
-}
-
-/// Chunked bucket-detection scan: each task scans an even slice of `t`,
-/// returning its slice's members of bucket `i` and the smallest later
-/// bucket it saw.
-pub(crate) fn scan_bucket_parallel(
-    pool: &ThreadPool,
-    t: &[f64],
-    delta: f64,
-    i: usize,
-    frontier: &mut Vec<usize>,
-) -> usize {
-    frontier.clear();
-    let n = t.len();
-    let ranges = split_evenly(0..n, pool.num_threads());
-    if ranges.len() <= 1 {
-        let mut next = usize::MAX;
-        for (v, &tv) in t.iter().enumerate() {
-            let b = bucket_of(tv, delta);
-            if b == i {
-                frontier.push(v);
-            } else if b > i && b < next {
-                next = b;
-            }
-        }
-        return next;
-    }
-    // Per-chunk results come back in range order (no lock, no sort), so
-    // the concatenated frontier is ascending by construction.
-    let parts = scope_collect(pool, ranges, |_, range| {
-        let mut local = Vec::new();
-        let mut next = usize::MAX;
-        for v in range {
-            let b = bucket_of(t[v], delta);
-            if b == i {
-                local.push(v);
-            } else if b > i && b < next {
-                next = b;
-            }
-        }
-        (local, next)
-    });
-    let mut next = usize::MAX;
-    for (local, local_next) in parts {
-        frontier.extend_from_slice(&local);
-        next = next.min(local_next);
-    }
-    next
 }
 
 /// Delta-stepping with the paper's task-parallel scheme. Distances are
@@ -171,6 +126,8 @@ pub fn delta_stepping_parallel_checked(
     let mut touched: Vec<usize> = Vec::new();
     let mut frontier: Vec<usize> = Vec::new();
     let mut settled: Vec<usize> = Vec::new();
+    let mut ring = BucketRing::new();
+    ring.start(n, delta, source);
 
     let mut i = 0usize;
     loop {
@@ -191,14 +148,15 @@ pub fn delta_stepping_parallel_checked(
             .stop(stop));
         }
         let t0 = Instant::now();
-        let next = scan_bucket_parallel(pool, &result.dist, delta, i, &mut frontier);
+        let next = ring.take(i, &mut frontier);
         profile.vector_ops += t0.elapsed();
-        if frontier.is_empty() {
-            if next == usize::MAX {
-                break;
+        match next {
+            None => break,
+            Some(b) if b != i => {
+                i = b;
+                continue;
             }
-            i = next;
-            continue;
+            Some(_) => {}
         }
         result.stats.buckets_processed += 1;
         settled.clear();
@@ -243,15 +201,8 @@ pub fn delta_stepping_parallel_checked(
             settled.extend_from_slice(&frontier);
             frontier.clear();
             for &u in &touched {
-                let cand = req[u];
-                req[u] = INF;
-                if cand < result.dist[u] {
-                    result.stats.improvements += 1;
-                    result.dist[u] = cand;
-                    if bucket_of(cand, delta) == i {
-                        frontier.push(u);
-                    }
-                }
+                let cand = std::mem::replace(&mut req[u], INF);
+                ring.merge(&mut result.dist, u, cand, &mut result.stats.improvements, &mut frontier);
             }
             touched.clear();
             profile.vector_ops += t0.elapsed();
@@ -276,12 +227,8 @@ pub fn delta_stepping_parallel_checked(
         profile.relaxation += t0.elapsed();
         let t0 = Instant::now();
         for &u in &touched {
-            let cand = req[u];
-            req[u] = INF;
-            if cand < result.dist[u] {
-                result.stats.improvements += 1;
-                result.dist[u] = cand;
-            }
+            let cand = std::mem::replace(&mut req[u], INF);
+            ring.merge(&mut result.dist, u, cand, &mut result.stats.improvements, &mut frontier);
         }
         touched.clear();
         profile.vector_ops += t0.elapsed();

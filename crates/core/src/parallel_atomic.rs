@@ -30,9 +30,9 @@ use graphdata::CsrGraph;
 use parking_lot::Mutex;
 use taskpool::{scope, split_evenly, ThreadPool};
 
+use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
 use crate::checkpoint::{LiveState, StopPoint};
-use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
 use crate::parallel_improved::split_light_heavy_chunked;
@@ -233,6 +233,8 @@ pub fn delta_stepping_parallel_atomic_checked(
     let mut touched: Vec<usize> = Vec::new();
     let mut frontier: Vec<usize> = Vec::new();
     let mut settled: Vec<usize> = Vec::new();
+    let mut ring = BucketRing::new();
+    ring.start(n, delta, source);
 
     let mut i = 0usize;
     loop {
@@ -253,14 +255,15 @@ pub fn delta_stepping_parallel_atomic_checked(
             .stop(stop));
         }
         let t0 = Instant::now();
-        let next = crate::parallel::scan_bucket_parallel(pool, &result.dist, delta, i, &mut frontier);
+        let next = ring.take(i, &mut frontier);
         profile.vector_ops += t0.elapsed();
-        if frontier.is_empty() {
-            if next == usize::MAX {
-                break;
+        match next {
+            None => break,
+            Some(b) if b != i => {
+                i = b;
+                continue;
             }
-            i = next;
-            continue;
+            Some(_) => {}
         }
         result.stats.buckets_processed += 1;
         settled.clear();
@@ -321,15 +324,7 @@ pub fn delta_stepping_parallel_atomic_checked(
                 }
                 let cand = f64::from_bits(req[u].load(Ordering::Relaxed));
                 req[u].store(INF.to_bits(), Ordering::Relaxed);
-                if cand < result.dist[u] {
-                    result.stats.improvements += 1;
-                    #[cfg(feature = "racecheck")]
-                    racecheck::plain_write("sssp.dist", &result.dist[u] as *const f64);
-                    result.dist[u] = cand;
-                    if bucket_of(cand, delta) == i {
-                        frontier.push(u);
-                    }
-                }
+                ring.merge(&mut result.dist, u, cand, &mut result.stats.improvements, &mut frontier);
             }
             touched.clear();
             profile.vector_ops += t0.elapsed();
@@ -366,12 +361,7 @@ pub fn delta_stepping_parallel_atomic_checked(
             }
             let cand = f64::from_bits(req[u].load(Ordering::Relaxed));
             req[u].store(INF.to_bits(), Ordering::Relaxed);
-            if cand < result.dist[u] {
-                result.stats.improvements += 1;
-                #[cfg(feature = "racecheck")]
-                racecheck::plain_write("sssp.dist", &result.dist[u] as *const f64);
-                result.dist[u] = cand;
-            }
+            ring.merge(&mut result.dist, u, cand, &mut result.stats.improvements, &mut frontier);
         }
         touched.clear();
         profile.vector_ops += t0.elapsed();

@@ -30,9 +30,9 @@ use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
 use taskpool::{scope_collect, split_evenly, ThreadPool};
 
+use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
 use crate::checkpoint::{Checkpoint, LiveState, StopPoint};
-use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
 use crate::reqbuf::{relax_buffered, RelaxWorkspace};
@@ -112,8 +112,8 @@ pub fn split_light_heavy_chunked(pool: &ThreadPool, g: &CsrGraph, delta: f64) ->
 }
 
 /// Reusable per-run state: the relaxation workspace (dense request
-/// accumulator + per-task buffers) and the frontier/settled scratch
-/// vectors. Owned by callers that run many queries (the engine, bench
+/// accumulator + per-task buffers), the bucket ring and the
+/// frontier/settled scratch vectors. Owned by callers that run many queries (the engine, bench
 /// loops) so per-bucket allocation disappears after the first run.
 #[derive(Debug, Default)]
 pub struct ImprovedWorkspace {
@@ -123,6 +123,7 @@ pub struct ImprovedWorkspace {
     /// Frontier bitmap for dense (pull) epochs — all-`false` between
     /// phases, set and cleared by iterating the (sparse) frontier.
     in_frontier: Vec<bool>,
+    ring: BucketRing,
 }
 
 impl ImprovedWorkspace {
@@ -133,6 +134,7 @@ impl ImprovedWorkspace {
             frontier: Vec::new(),
             settled: Vec::new(),
             in_frontier: vec![false; n],
+            ring: BucketRing::new(),
         }
     }
 
@@ -285,6 +287,7 @@ fn improved_loop(
         frontier,
         settled,
         in_frontier,
+        ring,
     } = ws;
     frontier.clear();
     settled.clear();
@@ -294,13 +297,17 @@ fn improved_loop(
     // frontier/settled sets, skipping the outer boundary work that already
     // happened before the interruption.
     let mut entering_mid = false;
-    if let Some(cp) = resume {
-        result.dist.clone_from(&cp.dist);
-        result.stats = cp.stats.clone();
-        i = cp.bucket;
-        frontier.extend_from_slice(&cp.frontier);
-        settled.extend_from_slice(&cp.settled);
-        entering_mid = cp.stop_point == StopPoint::LightPhase;
+    match resume {
+        Some(cp) => {
+            result.dist.clone_from(&cp.dist);
+            result.stats = cp.stats.clone();
+            i = cp.bucket;
+            frontier.extend_from_slice(&cp.frontier);
+            settled.extend_from_slice(&cp.settled);
+            entering_mid = cp.stop_point == StopPoint::LightPhase;
+            ring.resume(&cp.dist, delta, i, !entering_mid);
+        }
+        None => ring.start(n, delta, source),
     }
 
     loop {
@@ -324,15 +331,15 @@ fn improved_loop(
                 .stop(stop));
             }
             let t0 = Instant::now();
-            let next =
-                crate::parallel::scan_bucket_parallel(pool, &result.dist, delta, i, frontier);
+            let next = ring.take(i, frontier);
             profile.vector_ops += t0.elapsed();
-            if frontier.is_empty() {
-                if next == usize::MAX {
-                    break;
+            match next {
+                None => break,
+                Some(b) if b != i => {
+                    i = b;
+                    continue;
                 }
-                i = next;
-                continue;
+                Some(_) => {}
             }
             result.stats.buckets_processed += 1;
             settled.clear();
@@ -397,20 +404,9 @@ fn improved_loop(
             let t0 = Instant::now();
             settled.extend_from_slice(frontier);
             frontier.clear();
-            let dist = &mut result.dist;
-            let stats = &mut result.stats;
+            let improvements = &mut result.stats.improvements;
             relax.drain_requests(|u, cand| {
-                if cand < dist[u] {
-                    stats.improvements += 1;
-                    // Conflicts with the producer tasks' dist reads across
-                    // phases — the join edge must order them.
-                    #[cfg(feature = "racecheck")]
-                    racecheck::plain_write("sssp.dist", &dist[u] as *const f64);
-                    dist[u] = cand;
-                    if bucket_of(cand, delta) == i {
-                        frontier.push(u);
-                    }
-                }
+                ring.merge(&mut result.dist, u, cand, improvements, frontier);
             });
             profile.vector_ops += t0.elapsed();
         }
@@ -428,15 +424,9 @@ fn improved_loop(
         );
         profile.relaxation += t0.elapsed();
         let t0 = Instant::now();
-        let dist = &mut result.dist;
-        let stats = &mut result.stats;
+        let improvements = &mut result.stats.improvements;
         relax.drain_requests(|u, cand| {
-            if cand < dist[u] {
-                stats.improvements += 1;
-                #[cfg(feature = "racecheck")]
-                racecheck::plain_write("sssp.dist", &dist[u] as *const f64);
-                dist[u] = cand;
-            }
+            ring.merge(&mut result.dist, u, cand, improvements, frontier);
         });
         profile.vector_ops += t0.elapsed();
 

@@ -426,72 +426,4 @@ mod tests {
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
     }
-
-    #[test]
-    fn injected_worker_panic_becomes_error_when_degradation_off() {
-        let g = grid();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig {
-            degrade_on_panic: false,
-            ..GuardConfig::default()
-        };
-        taskpool::fault::arm_panic_after(0);
-        let outcome = run_checked(Implementation::Parallel, &g, 0, 1.0, Some(&pool), &cfg);
-        taskpool::fault::disarm();
-        match outcome {
-            Err(SsspError::WorkerPanicked { message }) => {
-                assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        assert!(pool.panicked_tasks() >= 1);
-    }
-
-    #[test]
-    fn injected_worker_panic_degrades_to_certified_sequential_run() {
-        let g = grid();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig::default(); // degrade_on_panic: true
-        taskpool::fault::arm_panic_after(0);
-        let report =
-            run_checked(Implementation::ParallelImproved, &g, 0, 1.0, Some(&pool), &cfg)
-                .expect("degradation must rescue the run");
-        taskpool::fault::disarm();
-        let message = report.degraded.expect("run must be marked degraded");
-        assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
-        // The fallback distances are not just plausible — they carry the
-        // full SSSP optimality certificate and match Dijkstra.
-        crate::validate::check_certificate(&g, &report.result, 1e-12)
-            .expect("degraded result must still be optimal");
-        assert_eq!(report.result.dist, dijkstra(&g, 0).dist);
-    }
-
-    #[test]
-    fn degraded_retry_inherits_cancellation_not_ticks() {
-        // A cancelled token must stop the sequential retry too: the
-        // deadline/token are an SLO on the whole job, not per attempt.
-        let g = grid();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig::default();
-        let token = crate::budget::CancelToken::new();
-        token.cancel();
-        let mut budget = RunBudget::for_run(&g, 1.0, &cfg).with_cancel(token);
-        taskpool::fault::arm_panic_after(0);
-        let outcome = run_with_budget(
-            Implementation::ParallelImproved,
-            &g,
-            0,
-            1.0,
-            Some(&pool),
-            &cfg,
-            &mut budget,
-        );
-        taskpool::fault::disarm();
-        // The run stops with Cancelled — either before the panic fires
-        // or on the retry path; both prove the token reached the loop.
-        assert!(
-            matches!(outcome, Err(SsspError::Cancelled { .. })),
-            "got {outcome:?}"
-        );
-    }
 }

@@ -28,6 +28,12 @@
 //! heavy-edge improvements, which *can* land in-range once `k > 1`.
 //! When the range is empty the loop terminates with `bound` = ∞.
 //!
+//! Extraction never scans all of `t`: the loop keeps an *active list* of
+//! the candidates (finite, `t ≥ bound`) — a vertex joins on improvement
+//! and leaves at the first extraction after the bound passes it — so
+//! thresholds come from that list and only the extracted frontier is
+//! sorted (into vertex order, the order a whole-vector scan would give).
+//!
 //! Determinism: relaxation goes through the contention-free
 //! [`crate::reqbuf`] request buffers (spawn-order merge, sorted touched
 //! lists), thresholds are pure functions of the distance multiset, and
@@ -159,13 +165,20 @@ impl std::str::FromStr for SteppingStrategy {
 }
 
 /// Reusable per-run state for the generalized loop: the request-buffer
-/// workspace plus frontier/settled scratch and the ρ selection scratch.
+/// workspace plus frontier/settled scratch, the active list and the ρ
+/// selection scratch.
 #[derive(Debug, Default)]
 pub struct SteppingWorkspace {
     relax: RelaxWorkspace,
     frontier: Vec<usize>,
     settled: Vec<usize>,
     scratch: Vec<f64>,
+    /// The extraction candidates: every finite vertex with `t ≥ bound`,
+    /// plus vertices that fell below the bound since the last extraction
+    /// (pruned by it). A vertex joins on improvement.
+    active: Vec<usize>,
+    /// Membership bitmap of `active`.
+    in_active: Vec<bool>,
 }
 
 impl SteppingWorkspace {
@@ -176,12 +189,17 @@ impl SteppingWorkspace {
             frontier: Vec::new(),
             settled: Vec::new(),
             scratch: Vec::new(),
+            active: Vec::new(),
+            in_active: vec![false; n],
         }
     }
 
     /// Grow (never shrink) to fit an `n`-vertex graph.
     pub fn ensure(&mut self, n: usize) {
         self.relax.ensure(n);
+        if self.in_active.len() < n {
+            self.in_active.resize(n, false);
+        }
     }
 }
 
@@ -342,9 +360,15 @@ fn stepping_loop(
         frontier,
         settled,
         scratch,
+        active,
+        in_active,
     } = ws;
     frontier.clear();
     settled.clear();
+    for &v in active.iter() {
+        in_active[v] = false;
+    }
+    active.clear();
 
     // The certified bound (exclusive): every dist < bound is final.
     let mut bound = 0.0f64;
@@ -361,6 +385,13 @@ fn stepping_loop(
         frontier.extend_from_slice(&cp.frontier);
         settled.extend_from_slice(&cp.settled);
         entering_mid = cp.stop_point == StopPoint::LightPhase;
+        // Rebuild the active list in one pass.
+        active.extend((0..n).filter(|&v| result.dist[v].is_finite() && result.dist[v] >= bound));
+    } else {
+        active.push(source);
+    }
+    for &v in active.iter() {
+        in_active[v] = true;
     }
 
     let t = &mut result.dist;
@@ -389,40 +420,42 @@ fn stepping_loop(
                 }
                 .stop(stop));
             }
-            // Extraction: collect the candidates (finite, not yet
-            // certified) in one scan, then pick the strategy's threshold.
+            // Extraction: prune the active list to the candidates
+            // (finite, not yet certified), then pick the strategy's
+            // threshold from them.
             let t0 = Instant::now();
-            frontier.clear();
             let mut min_cand = INF;
-            for (v, &tv) in t.iter().enumerate() {
-                if tv.is_finite() && tv >= bound {
-                    frontier.push(v);
-                    if tv < min_cand {
-                        min_cand = tv;
-                    }
+            active.retain(|&v| {
+                let tv = t[v];
+                let keep = tv >= bound;
+                if keep {
+                    min_cand = min_cand.min(tv);
+                } else {
+                    in_active[v] = false;
                 }
-            }
-            if frontier.is_empty() {
+                keep
+            });
+            if active.is_empty() {
                 profile.vector_ops += t0.elapsed();
                 break; // nothing tentative at or above the bound: done
             }
             threshold = match strategy {
                 SteppingStrategy::Rho(rho) => {
-                    if frontier.len() <= rho {
+                    if active.len() <= rho {
                         // Extract the whole candidate pool, but close the
                         // range just above its maximum: vertices
                         // *discovered* while draining stay out of this
                         // batch and wait for the next extraction (an ∞
                         // threshold would drag the entire remaining graph
                         // into one chaotic-relaxation range).
-                        let max_cand = frontier.iter().map(|&v| t[v]).fold(min_cand, f64::max);
+                        let max_cand = active.iter().map(|&v| t[v]).fold(min_cand, f64::max);
                         next_up(max_cand)
                     } else {
                         // The ρ-th smallest tentative value; every
                         // candidate tied with it joins the extraction, so
                         // the threshold is the next *distinct* value.
                         scratch.clear();
-                        scratch.extend(frontier.iter().map(|&v| t[v]));
+                        scratch.extend(active.iter().map(|&v| t[v]));
                         let (_, pivot, _) =
                             scratch.select_nth_unstable_by(rho - 1, |a, b| a.total_cmp(b));
                         let pivot = *pivot;
@@ -449,7 +482,7 @@ fn stepping_loop(
                 // minimum, or the loop would spin. Fall back to the next
                 // distinct tentative value (∞ when all candidates tie).
                 let mut next = INF;
-                for &v in frontier.iter() {
+                for &v in active.iter() {
                     let x = t[v];
                     if x > min_cand && x < next {
                         next = x;
@@ -457,7 +490,10 @@ fn stepping_loop(
                 }
                 threshold = next;
             }
-            frontier.retain(|&v| t[v] < threshold);
+            // In vertex order, as a whole-vector scan would list them.
+            frontier.clear();
+            frontier.extend(active.iter().copied().filter(|&v| t[v] < threshold));
+            frontier.sort_unstable();
             profile.vector_ops += t0.elapsed();
 
             result.stats.buckets_processed += 1;
@@ -507,6 +543,10 @@ fn stepping_loop(
                     if cand < t[u] {
                         result.stats.improvements += 1;
                         t[u] = cand;
+                        if !in_active[u] {
+                            in_active[u] = true;
+                            active.push(u);
+                        }
                         if cand < threshold {
                             frontier.push(u);
                         }
@@ -528,6 +568,10 @@ fn stepping_loop(
                 if cand < t[u] {
                     result.stats.improvements += 1;
                     t[u] = cand;
+                    if !in_active[u] {
+                        in_active[u] = true;
+                        active.push(u);
+                    }
                     if cand < threshold {
                         frontier.push(u);
                     }

@@ -1208,65 +1208,6 @@ mod tests {
         server.shutdown();
     }
 
-    /// The recycling chaos test: a panic-injected worker serves its job
-    /// degraded (sequential-fused retry), retires, and is replaced by a
-    /// fresh worker that serves the *requested* implementation again —
-    /// at every pool width the service runs with.
-    #[test]
-    fn panic_poisoned_worker_is_recycled_and_serves_the_requested_impl_again() {
-        for pool_threads in [1usize, 2, 4] {
-            let cfg = ServerConfig {
-                workers: 1,
-                pool_threads,
-                supervisor: SupervisorConfig {
-                    cooldown: Duration::from_millis(50),
-                    watchdog_interval: Duration::from_millis(5),
-                    ..SupervisorConfig::default()
-                },
-                ..ServerConfig::default()
-            };
-            let server = start(cfg, "127.0.0.1:0").unwrap();
-            let mut c = connect_text(server.addr());
-            let fp = load_grid(&mut c);
-
-            taskpool::fault::arm_panic_after(0);
-            let degraded = ask(&mut c, &format!("SSSP {fp:016x} 0 impl=improved"));
-            taskpool::fault::disarm();
-            assert!(
-                degraded[0].starts_with("DEGRADED"),
-                "injected panic must degrade ({pool_threads} threads): {degraded:?}"
-            );
-            assert!(degraded[1].starts_with("OK "), "{degraded:?}");
-
-            // The worker retired; the supervisor recycles the slot after
-            // its cooldown.
-            let deadline = Instant::now() + Duration::from_secs(20);
-            loop {
-                let stats = server.stats();
-                if stats.get("workers_healthy") == Some(1)
-                    && stats.get("worker_recycles") >= Some(1)
-                {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "slot never recycled ({pool_threads} threads): {stats:?}"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-
-            // A later job on the same connection gets the requested
-            // implementation, undegraded.
-            let ok = ask(&mut c, &format!("SSSP {fp:016x} 0 impl=improved"));
-            assert!(
-                ok[0].starts_with("OK "),
-                "recycled worker serves the requested impl ({pool_threads} threads): {ok:?}"
-            );
-            assert_eq!(server.health().status, "ok");
-            server.shutdown();
-        }
-    }
-
     /// Satellite regression: a handler that panics while holding a
     /// serve-layer lock poisons the mutex, and the next request still
     /// gets served over the intact state.

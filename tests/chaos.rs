@@ -14,18 +14,27 @@
 //!    implementations, arm the taskpool fault hook at task `j` for a
 //!    sweep of `j` and demand the degraded run still produces exact
 //!    distances.
+//! 4. **Single-shot injections at each front door** — `run_checked`,
+//!    the batch runner and the resident service each degrade (or
+//!    surface the panic) exactly as configured.
 //!
 //! The worker-pool size is taken from `CHAOS_THREADS` (default 2) so CI
 //! can sweep 1/2/4 without recompiling.
 
 use graphdata::gen::grid2d;
 use graphdata::CsrGraph;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 use sssp_core::engine::SsspEngine;
 use sssp_core::{
-    dijkstra::dijkstra, run_checked, run_with_budget, GuardConfig, Implementation, RunBudget,
-    SsspError,
+    dijkstra::dijkstra, run_checked, run_with_budget, BatchConfig, BatchOutcome, BatchRunner,
+    GuardConfig, Implementation, RunBudget, SsspError, SteppingStrategy,
 };
+use sssp_serve::protocol::TEXT_TERMINATOR;
+use sssp_serve::server::{start, ServerConfig};
+use sssp_serve::SupervisorConfig;
 use taskpool::ThreadPool;
 
 /// The taskpool fault hook is process-global: fault-armed tests must not
@@ -284,5 +293,226 @@ fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
     let cp = err.into_checkpoint().expect("budget stop carries a checkpoint");
     for (v, d) in cp.settled_distances() {
         assert_eq!(d.to_bits(), full.dist[v].to_bits(), "vertex {v}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Single-shot fault injections against the run front door, the batch
+// runner and the resident service. They arm the same process-global hook
+// as the sweeps above, so they live here under `CHAOS_LOCK` rather than
+// in the lib test binaries, where a concurrently running pooled test
+// could take the injected panic.
+// ---------------------------------------------------------------------------
+
+fn small_grid() -> CsrGraph {
+    CsrGraph::from_edge_list(&grid2d(6, 6)).unwrap()
+}
+
+fn connect_text(addr: SocketAddr) -> TcpStream {
+    TcpStream::connect(addr).expect("connect")
+}
+
+/// Send one text request and collect the reply lines (without the
+/// terminator).
+fn ask(stream: &mut TcpStream, line: &str) -> Vec<String> {
+    stream.write_all(format!("{line}\n").as_bytes()).expect("send");
+    let mut reply = Vec::new();
+    let reader = stream.try_clone().expect("clone");
+    for l in BufReader::new(reader).lines() {
+        let l = l.expect("reply line");
+        if l == TEXT_TERMINATOR {
+            break;
+        }
+        reply.push(l);
+    }
+    reply
+}
+
+fn load_grid(stream: &mut TcpStream) -> u64 {
+    let reply = ask(stream, "LOAD GEN grid:6x6");
+    let line = &reply[0];
+    assert!(line.starts_with("LOADED"), "{line}");
+    let fp = line
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("fingerprint="))
+        .expect("fingerprint field");
+    u64::from_str_radix(fp, 16).expect("hex fingerprint")
+}
+
+#[test]
+fn injected_worker_panic_becomes_error_when_degradation_off() {
+    let _guard = CHAOS_LOCK.lock().unwrap();
+    let g = small_grid();
+    let pool = ThreadPool::with_threads(2).unwrap();
+    let cfg = GuardConfig {
+        degrade_on_panic: false,
+        ..GuardConfig::default()
+    };
+    taskpool::fault::arm_panic_after(0);
+    let outcome = run_checked(Implementation::Parallel, &g, 0, 1.0, Some(&pool), &cfg);
+    taskpool::fault::disarm();
+    match outcome {
+        Err(SsspError::WorkerPanicked { message }) => {
+            assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
+        }
+        other => panic!("expected WorkerPanicked, got {other:?}"),
+    }
+    assert!(pool.panicked_tasks() >= 1);
+}
+
+#[test]
+fn injected_worker_panic_degrades_to_certified_sequential_run() {
+    let _guard = CHAOS_LOCK.lock().unwrap();
+    let g = small_grid();
+    let pool = ThreadPool::with_threads(2).unwrap();
+    let cfg = GuardConfig::default(); // degrade_on_panic: true
+    taskpool::fault::arm_panic_after(0);
+    let report =
+        run_checked(Implementation::ParallelImproved, &g, 0, 1.0, Some(&pool), &cfg)
+            .expect("degradation must rescue the run");
+    taskpool::fault::disarm();
+    let message = report.degraded.expect("run must be marked degraded");
+    assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
+    // The fallback distances are not just plausible — they carry the
+    // full SSSP optimality certificate and match Dijkstra.
+    sssp_core::validate::check_certificate(&g, &report.result, 1e-12)
+        .expect("degraded result must still be optimal");
+    assert_eq!(report.result.dist, dijkstra(&g, 0).dist);
+}
+
+#[test]
+fn degraded_retry_inherits_cancellation_not_ticks() {
+    let _guard = CHAOS_LOCK.lock().unwrap();
+    // A cancelled token must stop the sequential retry too: the
+    // deadline/token are an SLO on the whole job, not per attempt.
+    let g = small_grid();
+    let pool = ThreadPool::with_threads(2).unwrap();
+    let cfg = GuardConfig::default();
+    let token = sssp_core::CancelToken::new();
+    token.cancel();
+    let mut budget = RunBudget::for_run(&g, 1.0, &cfg).with_cancel(token);
+    taskpool::fault::arm_panic_after(0);
+    let outcome = run_with_budget(
+        Implementation::ParallelImproved,
+        &g,
+        0,
+        1.0,
+        Some(&pool),
+        &cfg,
+        &mut budget,
+    );
+    taskpool::fault::disarm();
+    // The run stops with Cancelled — either before the panic fires
+    // or on the retry path; both prove the token reached the loop.
+    assert!(
+        matches!(outcome, Err(SsspError::Cancelled { .. })),
+        "got {outcome:?}"
+    );
+}
+
+#[test]
+fn strategy_panic_retries_sequentially_with_the_same_strategy() {
+    let _guard = CHAOS_LOCK.lock().unwrap();
+    let g = small_grid();
+    let runner = BatchRunner::new(BatchConfig {
+        implementation: Implementation::ParallelImproved,
+        strategy: SteppingStrategy::DeltaStar(2.0),
+        workers: 1,
+        ..BatchConfig::default()
+    });
+    taskpool::fault::arm_panic_after(0);
+    let report = runner.run(&g, &[0]);
+    taskpool::fault::disarm();
+    match &report.jobs[0].1 {
+        BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
+            assert!(degraded.is_some());
+            assert!(degraded_by_panic);
+            assert_eq!(result.dist, dijkstra(&g, 0).dist);
+        }
+        other => panic!("expected degraded Complete, got {other:?}"),
+    }
+}
+
+#[test]
+fn injected_panic_retries_once_on_sequential_fused() {
+    let _guard = CHAOS_LOCK.lock().unwrap();
+    let g = small_grid();
+    let runner = BatchRunner::new(BatchConfig {
+        implementation: Implementation::ParallelImproved,
+        workers: 1,
+        ..BatchConfig::default()
+    });
+    taskpool::fault::arm_panic_after(0);
+    let report = runner.run(&g, &[0]);
+    taskpool::fault::disarm();
+    match &report.jobs[0].1 {
+        BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
+            let message = degraded.as_ref().expect("job must be marked degraded");
+            assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
+            assert!(degraded_by_panic, "typed marker must identify the panic");
+            assert_eq!(result.dist, dijkstra(&g, 0).dist);
+        }
+        other => panic!("expected degraded Complete, got {other:?}"),
+    }
+    assert_eq!(report.degraded(), 1);
+}
+
+/// The recycling chaos test: a panic-injected worker serves its job
+/// degraded (sequential-fused retry), retires, and is replaced by a
+/// fresh worker that serves the *requested* implementation again —
+/// at every pool width the service runs with.
+#[test]
+fn panic_poisoned_worker_is_recycled_and_serves_the_requested_impl_again() {
+    let _guard = CHAOS_LOCK.lock().unwrap();
+    for pool_threads in [1usize, 2, 4] {
+        let cfg = ServerConfig {
+            workers: 1,
+            pool_threads,
+            supervisor: SupervisorConfig {
+                cooldown: Duration::from_millis(50),
+                watchdog_interval: Duration::from_millis(5),
+                ..SupervisorConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let server = start(cfg, "127.0.0.1:0").unwrap();
+        let mut c = connect_text(server.addr());
+        let fp = load_grid(&mut c);
+
+        taskpool::fault::arm_panic_after(0);
+        let degraded = ask(&mut c, &format!("SSSP {fp:016x} 0 impl=improved"));
+        taskpool::fault::disarm();
+        assert!(
+            degraded[0].starts_with("DEGRADED"),
+            "injected panic must degrade ({pool_threads} threads): {degraded:?}"
+        );
+        assert!(degraded[1].starts_with("OK "), "{degraded:?}");
+
+        // The worker retired; the supervisor recycles the slot after
+        // its cooldown.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let stats = server.stats();
+            if stats.get("workers_healthy") == Some(1)
+                && stats.get("worker_recycles") >= Some(1)
+            {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "slot never recycled ({pool_threads} threads): {stats:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // A later job on the same connection gets the requested
+        // implementation, undegraded.
+        let ok = ask(&mut c, &format!("SSSP {fp:016x} 0 impl=improved"));
+        assert!(
+            ok[0].starts_with("OK "),
+            "recycled worker serves the requested impl ({pool_threads} threads): {ok:?}"
+        );
+        assert_eq!(server.health().status, "ok");
+        server.shutdown();
     }
 }

@@ -7,12 +7,16 @@
 
 use std::str::FromStr;
 
+use graphdata::gen::grid2d;
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
+use sssp_core::fused::LightHeavy;
 use sssp_core::result::SsspResult;
+use sssp_core::stats::PhaseProfile;
+use sssp_core::stepping::{stepping_resume_with, stepping_with, SteppingWorkspace};
 use sssp_core::{
     fused, gblas_parallel, parallel, parallel_atomic, parallel_improved, run_with_budget,
-    GuardConfig, Implementation, RunBudget,
+    Checkpoint, GuardConfig, Implementation, RunBudget, SsspError, SteppingStrategy, StopPoint,
 };
 use taskpool::ThreadPool;
 
@@ -273,5 +277,132 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
         }
         // Every cancel/resume rode the one cached split.
         assert_eq!(engine.stats().split_builds, 1);
+    }
+}
+
+/// A weighted grid whose heavy edges leave empty buckets between the
+/// occupied ones at [`SKIP_DELTA`], so runs jump bucket gaps.
+fn bucket_skip_grid() -> CsrGraph {
+    let mut el = grid2d(12, 12);
+    graphdata::weights::assign_symmetric(
+        &mut el,
+        graphdata::WeightModel::UniformFloat { lo: 0.05, hi: 4.0 },
+        7,
+    );
+    CsrGraph::from_edge_list(&el).unwrap()
+}
+
+const SKIP_DELTA: f64 = 0.5;
+
+type Outcome = Result<(SsspResult, PhaseProfile), SsspError>;
+type RunFn<'a> = Box<dyn Fn(&mut RunBudget) -> Outcome + 'a>;
+type ResumeFn<'a> = Box<dyn Fn(&Checkpoint, &mut RunBudget) -> Outcome + 'a>;
+
+/// One resumable loop under test: a fresh run from vertex 0 and a
+/// resume, each under the given budget.
+struct Resumable<'a> {
+    name: &'static str,
+    run: RunFn<'a>,
+    resume: ResumeFn<'a>,
+}
+
+/// The fused, parallel-improved, ρ and Δ* loops on `g`.
+fn resumables<'a>(
+    g: &'a CsrGraph,
+    lh: &'a LightHeavy,
+    pool: &'a ThreadPool,
+    delta: f64,
+) -> Vec<Resumable<'a>> {
+    let mut out = vec![
+        Resumable {
+            name: "fused",
+            run: Box::new(move |b| fused::delta_stepping_fused_checked(g, 0, delta, b)),
+            resume: Box::new(move |cp, b| fused::delta_stepping_fused_resume(g, cp, b)),
+        },
+        Resumable {
+            name: "improved",
+            run: Box::new(move |b| {
+                parallel_improved::delta_stepping_parallel_improved_checked(pool, g, 0, delta, b)
+            }),
+            resume: Box::new(move |cp, b| {
+                parallel_improved::delta_stepping_parallel_improved_resume(pool, g, cp, b)
+            }),
+        },
+    ];
+    for (name, strategy) in [
+        ("rho", SteppingStrategy::Rho(4)),
+        ("delta-star", SteppingStrategy::DeltaStar(2.0)),
+    ] {
+        let n = g.num_vertices();
+        out.push(Resumable {
+            name,
+            run: Box::new(move |b| {
+                let mut ws = SteppingWorkspace::new(n);
+                stepping_with(g, lh, 0, delta, strategy, None, b, &mut ws)
+            }),
+            resume: Box::new(move |cp, b| {
+                let mut ws = SteppingWorkspace::new(n);
+                stepping_resume_with(g, lh, cp, None, b, &mut ws)
+            }),
+        });
+    }
+    out
+}
+
+#[test]
+fn every_loop_resumes_bit_identically_at_every_epoch_across_bucket_skips() {
+    // Cancel at every epoch an uninterrupted run passes through and
+    // resume on the same loop: distances and stats must come back
+    // bit-identical. The stops must cover both stop points, so the
+    // bucket ring and the stepping active list are rebuilt from each.
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    let g = bucket_skip_grid();
+    let lh = LightHeavy::build(&g, SKIP_DELTA);
+    for r in resumables(&g, &lh, &pool, SKIP_DELTA) {
+        let mut b = RunBudget::unlimited();
+        let (full, _) = (r.run)(&mut b).expect("valid input");
+        let mut stop_points = Vec::new();
+        for k in 0..b.ticks() {
+            let err = (r.run)(&mut RunBudget::unlimited().cancel_after(k))
+                .expect_err("cancel_after must stop the run");
+            let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
+            stop_points.push(cp.stop_point);
+            let (resumed, _) = (r.resume)(&cp, &mut RunBudget::unlimited()).expect("resumable");
+            assert_eq!(
+                bits(&resumed.dist),
+                bits(&full.dist),
+                "{} cancelled at epoch {k}",
+                r.name
+            );
+            assert_eq!(resumed.stats, full.stats, "{} cancelled at epoch {k}", r.name);
+        }
+        for point in [StopPoint::BucketStart, StopPoint::LightPhase] {
+            assert!(stop_points.contains(&point), "{}: never stopped at {point:?}", r.name);
+        }
+    }
+}
+
+#[test]
+fn budget_ticks_match_the_full_scan() {
+    // Budget ticks are the stop points of every run, so bucket
+    // extraction must spend them exactly as the whole-vector scan did —
+    // including the one tick per jump over empty buckets. The expected
+    // values were measured with the scan.
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    for (g, delta, want) in [
+        (CsrGraph::from_edge_list(&grid2d(40, 40)).unwrap(), 1.0, 159),
+        (bucket_skip_grid(), SKIP_DELTA, 110),
+    ] {
+        let lh = LightHeavy::build(&g, delta);
+        for r in resumables(&g, &lh, &pool, delta).into_iter().take(2) {
+            let mut b = RunBudget::unlimited();
+            let (result, _) = (r.run)(&mut b).expect("valid input");
+            assert_eq!(b.ticks(), want, "{}", r.name);
+            // One tick per bucket and light phase, one for the final
+            // check; the rest are jumps over empty buckets.
+            let jumps =
+                want - result.stats.buckets_processed as u64 - result.stats.light_phases as u64 - 1;
+            assert_eq!(jumps > 0, delta == SKIP_DELTA, "{}", r.name);
+        }
     }
 }
