@@ -625,8 +625,8 @@ impl BatchRunner {
 
     /// Continue a persisted checkpoint, with the same one-retry panic
     /// ladder as a fresh run. Any resumable checkpoint continues on the
-    /// engine's frontier family — bit-identical to the uninterrupted run
-    /// by the family's construction.
+    /// engine's one resume path — bit-identical to the uninterrupted run
+    /// with or without the pool.
     fn resume_job(
         &self,
         engine: &mut SsspEngine<'_>,
@@ -636,8 +636,8 @@ impl BatchRunner {
         let g = engine.graph();
         let mut budget = self.job_budget(g);
         // `resume_stepping` routes by the checkpoint itself: a stepping
-        // checkpoint re-enters the generalized loop, a classic one goes to
-        // the bucket resume paths — so mixed directories (a strategy
+        // checkpoint re-enters the generalized loop, a classic one the
+        // bucket loop — so mixed directories (a strategy
         // change between batches) resume every file correctly.
         let pool = pool.filter(|_| self.cfg.implementation.is_parallel());
         let first =

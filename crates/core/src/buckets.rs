@@ -7,8 +7,9 @@
 //! over `t` per bucket — O(|V|) per bucket however thin the frontier.
 //! [`BucketRing`] instead keeps the buckets current at relaxation time,
 //! as Meyer–Sanders' own formulation does, so extraction costs
-//! O(frontier) and every bucket-based loop (`canonical`, `fused`,
-//! `parallel`, `parallel_improved`, `parallel_atomic`) shares it. Only
+//! O(frontier) and both bucket-based loops (`canonical`, and the
+//! classic loop in `fused` that `parallel` and `parallel_improved` run
+//! on) share it. Only
 //! the paper's Fig. 2 GraphBLAS transcription and the Fig. 4 cost model
 //! keep the whole-vector scan.
 //!

@@ -10,14 +10,14 @@
 //! records that bound, turning a partial run into a certified partial
 //! answer.
 //!
-//! For the frontier-based implementations (fused, parallel, improved,
-//! atomic — all bit-identical to each other by construction), the
-//! checkpoint additionally captures the exact loop state (current bucket,
-//! pending frontier, settled set of the current bucket, counters), so
-//! [`crate::fused::delta_stepping_fused_resume`] and
-//! [`crate::parallel_improved::delta_stepping_parallel_improved_resume`]
-//! can continue the run and land on **bit-identical distances and stats**
-//! versus an uninterrupted run. The canonical and GraphBLAS
+//! For the implementations built on the classic loop
+//! (`fused::classic_loop`: fused, parallel, improved) and the
+//! generalized stepping loop, the checkpoint additionally captures the
+//! exact loop state (current bucket or range, pending frontier, settled
+//! set of the current bucket, counters), so
+//! [`crate::engine::SsspEngine::resume_stepping`] — the one resume path,
+//! with or without a pool — can continue the run and land on
+//! **bit-identical distances and stats** versus an uninterrupted run. The canonical and GraphBLAS
 //! implementations emit distance-only checkpoints (`resumable == false`):
 //! their internal state (bucket queue, masked GraphBLAS vectors) does not
 //! map onto the frontier loop, so a resume could reproduce the distances
@@ -38,7 +38,9 @@ use crate::stepping::SteppingStrategy;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GBSSCKP2";
 
 /// Canonical implementation tags in wire order: the byte written for a
-/// checkpoint's `implementation` is the index into this table.
+/// checkpoint's `implementation` is the index into this table. Never
+/// renumber it: `"atomic"` (byte 5) belongs to a retired implementation
+/// whose checkpoints are classic-loop state and still load and resume.
 const IMPLEMENTATION_TAGS: [&str; 7] =
     ["canonical", "fused", "gblas", "parallel", "improved", "atomic", "stepping"];
 
@@ -109,7 +111,7 @@ pub struct Checkpoint {
     /// [`StopPoint::BucketStart`]).
     pub settled: Vec<usize>,
     /// Whether the frontier loop can be resumed bit-identically from this
-    /// checkpoint (true for the fused/parallel/improved/atomic family).
+    /// checkpoint (true for the classic and stepping loops).
     pub resumable: bool,
     /// Generalized-stepping loop state; `None` for the classic bucket
     /// implementations.

@@ -6,8 +6,8 @@
 //! multi-source workloads (bench loops, all-pairs sampling, the CLI's
 //! `--sources` mode) re-split the *same* matrix at the *same* Δ on every
 //! call. [`SsspEngine`] builds each split once; the per-run workspaces
-//! ([`FusedWorkspace`], [`ImprovedWorkspace`]) ride along so repeated
-//! runs allocate nothing after the first.
+//! ([`ClassicWorkspace`] for the bucket loop, [`SteppingWorkspace`] for
+//! ρ/Δ*) ride along so repeated runs allocate nothing after the first.
 //!
 //! Splits live in a shared [`SplitCache`] keyed by
 //! `(graph fingerprint, Δ.to_bits())`: an engine created with
@@ -26,21 +26,16 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
 use crate::budget::RunBudget;
 use crate::checkpoint::Checkpoint;
-use crate::fused::{
-    delta_stepping_fused_resume_with, delta_stepping_fused_with, FusedWorkspace, LightHeavy,
-};
+use crate::fused::{classic_loop, ClassicWorkspace, LightHeavy};
 use crate::guard::{self, GuardConfig, SsspError};
-use crate::parallel_improved::{
-    delta_stepping_parallel_improved_resume_with, delta_stepping_parallel_improved_with,
-    split_light_heavy_chunked, ImprovedWorkspace,
-};
+use crate::parallel_improved::split_light_heavy_chunked;
 use crate::result::SsspResult;
 use crate::split_cache::SplitCache;
 use crate::stats::PhaseProfile;
@@ -92,8 +87,7 @@ pub struct SsspEngine<'g> {
     /// steady state costs no lock. Workloads use a handful of Δ values at
     /// most, so a linear scan beats a hash map here.
     local: Vec<(u64, Arc<LightHeavy>)>,
-    fused_ws: FusedWorkspace,
-    improved_ws: ImprovedWorkspace,
+    classic_ws: ClassicWorkspace,
     stepping_ws: SteppingWorkspace,
     /// Cached verdict of the `O(|V| + |E|)` weight scan. The engine
     /// borrows the graph immutably for its whole lifetime, so the verdict
@@ -120,8 +114,7 @@ impl<'g> SsspEngine<'g> {
             fingerprint: g.fingerprint(),
             cache,
             local: Vec::new(),
-            fused_ws: FusedWorkspace::new(n),
-            improved_ws: ImprovedWorkspace::new(n),
+            classic_ws: ClassicWorkspace::new(n),
             stepping_ws: SteppingWorkspace::new(n),
             weights_verdict: None,
             stats: EngineStats::default(),
@@ -165,8 +158,7 @@ impl<'g> SsspEngine<'g> {
     /// to restore it. Cached splits are immutable once built and survive.
     pub fn reset_workspaces(&mut self) {
         let n = self.g.num_vertices();
-        self.fused_ws = FusedWorkspace::new(n);
-        self.improved_ws = ImprovedWorkspace::new(n);
+        self.classic_ws = ClassicWorkspace::new(n);
         self.stepping_ws = SteppingWorkspace::new(n);
     }
 
@@ -199,19 +191,13 @@ impl<'g> SsspEngine<'g> {
     }
 
     /// The split for `delta`, fetched from the shared cache and built on a
-    /// miss (by this engine or a concurrent sharer — whoever asks first).
-    /// Build time this engine actually paid is returned through
-    /// `profile.matrix_filter`; hits add nothing.
-    fn split_for(
-        &mut self,
-        pool: Option<&ThreadPool>,
-        delta: f64,
-        profile: &mut PhaseProfile,
-    ) -> Arc<LightHeavy> {
+    /// miss (by this engine or a concurrent sharer — whoever asks first),
+    /// with the build time this engine actually paid (zero on a hit).
+    fn split_for(&mut self, pool: Option<&ThreadPool>, delta: f64) -> (Arc<LightHeavy>, Duration) {
         let key = delta.to_bits();
         if let Some((_, lh)) = self.local.iter().find(|(k, _)| *k == key) {
             self.stats.split_hits += 1;
-            return Arc::clone(lh);
+            return (Arc::clone(lh), Duration::ZERO);
         }
         let g = self.g;
         let t0 = Instant::now();
@@ -219,14 +205,15 @@ impl<'g> SsspEngine<'g> {
             Some(pool) => split_light_heavy_chunked(pool, g, delta),
             None => LightHeavy::build(g, delta),
         });
-        if built {
-            profile.matrix_filter += t0.elapsed();
+        let filter = if built {
             self.stats.split_builds += 1;
+            t0.elapsed()
         } else {
             self.stats.split_hits += 1;
-        }
+            Duration::ZERO
+        };
         self.local.push((key, Arc::clone(&lh)));
-        lh
+        (lh, filter)
     }
 
     /// Sequential fused delta-stepping through the cache. Bit-identical to
@@ -238,17 +225,7 @@ impl<'g> SsspEngine<'g> {
         delta: f64,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        if !(delta > 0.0 && delta.is_finite()) {
-            return Err(SsspError::InvalidDelta { delta });
-        }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(None, delta, &mut profile);
-        let (result, loop_profile) =
-            delta_stepping_fused_with(self.g, &lh, source, delta, budget, &mut self.fused_ws)?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
+        self.run_classic(None, source, delta, budget)
     }
 
     /// Parallel request-buffer delta-stepping through the cache.
@@ -262,76 +239,44 @@ impl<'g> SsspEngine<'g> {
         delta: f64,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
+        self.run_classic(Some(pool), source, delta, budget)
+    }
+
+    /// The classic loop through the cache: fused without a pool,
+    /// improved with one.
+    fn run_classic(
+        &mut self,
+        pool: Option<&ThreadPool>,
+        source: usize,
+        delta: f64,
+        budget: &mut RunBudget,
+    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         if !(delta > 0.0 && delta.is_finite()) {
             return Err(SsspError::InvalidDelta { delta });
         }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(Some(pool), delta, &mut profile);
-        let (result, loop_profile) = delta_stepping_parallel_improved_with(
+        let (lh, filter) = self.split_for(pool, delta);
+        let (result, mut profile) = classic_loop(
             pool,
+            classic_tag(pool),
             self.g,
             &lh,
             source,
             delta,
             budget,
-            &mut self.improved_ws,
+            &mut self.classic_ws,
+            None,
         )?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
-    }
-
-    /// Resume an interrupted run on the sequential fused path, through
-    /// the split cache. Bit-identical to the uninterrupted run.
-    pub fn resume_fused(
-        &mut self,
-        cp: &Checkpoint,
-        budget: &mut RunBudget,
-    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        cp.validate(self.g.num_vertices())?;
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(None, cp.delta, &mut profile);
-        let (result, loop_profile) =
-            delta_stepping_fused_resume_with(self.g, &lh, cp, budget, &mut self.fused_ws)?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
-    }
-
-    /// Resume an interrupted run on the parallel improved path, through
-    /// the split cache. Bit-identical to the uninterrupted run.
-    pub fn resume_parallel_improved(
-        &mut self,
-        pool: &ThreadPool,
-        cp: &Checkpoint,
-        budget: &mut RunBudget,
-    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        cp.validate(self.g.num_vertices())?;
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(Some(pool), cp.delta, &mut profile);
-        let (result, loop_profile) = delta_stepping_parallel_improved_resume_with(
-            pool,
-            self.g,
-            &lh,
-            cp,
-            budget,
-            &mut self.improved_ws,
-        )?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
+        profile.matrix_filter += filter;
         Ok((result, profile))
     }
 
     /// Run under any [`SteppingStrategy`] through the cache. `Classic`
-    /// dispatches to the bucket implementations ([`SsspEngine::run_fused`]
-    /// sequentially, [`SsspEngine::run_parallel_improved`] with a pool) —
-    /// they *are* the classic strategy; ρ and Δ* go through the
-    /// generalized loop, sequentially or pooled by whether `pool` is
-    /// given. Distances and stats are bit-identical across thread counts
-    /// and the pool-less path for every strategy.
+    /// runs the bucket loop ([`SsspEngine::run_fused`] sequentially,
+    /// [`SsspEngine::run_parallel_improved`] with a pool) — it *is* the
+    /// classic strategy; ρ and Δ* go through the generalized loop,
+    /// sequentially or pooled by whether `pool` is given. Distances and
+    /// stats are bit-identical across thread counts and the pool-less
+    /// path for every strategy.
     pub fn run_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -342,17 +287,13 @@ impl<'g> SsspEngine<'g> {
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         strategy.validate()?;
         if strategy == SteppingStrategy::Classic {
-            return match pool {
-                Some(pool) => self.run_parallel_improved(pool, source, delta, budget),
-                None => self.run_fused(source, delta, budget),
-            };
+            return self.run_classic(pool, source, delta, budget);
         }
         if !(delta > 0.0 && delta.is_finite()) {
             return Err(SsspError::InvalidDelta { delta });
         }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(pool, delta, &mut profile);
-        let (result, loop_profile) = stepping_with(
+        let (lh, filter) = self.split_for(pool, delta);
+        let (result, mut profile) = stepping_with(
             self.g,
             &lh,
             source,
@@ -362,17 +303,17 @@ impl<'g> SsspEngine<'g> {
             budget,
             &mut self.stepping_ws,
         )?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
+        profile.matrix_filter += filter;
         Ok((result, profile))
     }
 
-    /// Resume an interrupted run of any implementation, routed by the
-    /// checkpoint itself: generalized-stepping checkpoints (carrying a
-    /// [`crate::checkpoint::SteppingState`]) re-enter the stepping loop,
-    /// classic bucket checkpoints go to the fused / parallel-improved
-    /// resume paths. Bit-identical to the uninterrupted run.
+    /// Resume an interrupted run of any implementation — the one resume
+    /// path. Generalized-stepping checkpoints (carrying a
+    /// [`crate::checkpoint::SteppingState`]) re-enter the stepping loop;
+    /// classic bucket checkpoints (fused, parallel, improved, and the
+    /// retired `atomic` tag) re-enter the classic loop, sequentially or
+    /// pooled by whether `pool` is given. Bit-identical to the
+    /// uninterrupted run.
     pub fn resume_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -380,19 +321,22 @@ impl<'g> SsspEngine<'g> {
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         cp.validate(self.g.num_vertices())?;
-        if cp.stepping.is_none() {
-            return match pool {
-                Some(pool) => self.resume_parallel_improved(pool, cp, budget),
-                None => self.resume_fused(cp, budget),
-            };
-        }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(pool, cp.delta, &mut profile);
-        let (result, loop_profile) =
-            stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.stepping_ws)?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
+        let (lh, filter) = self.split_for(pool, cp.delta);
+        let (result, mut profile) = match cp.stepping {
+            Some(_) => stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.stepping_ws),
+            None => classic_loop(
+                pool,
+                classic_tag(pool),
+                self.g,
+                &lh,
+                cp.source,
+                cp.delta,
+                budget,
+                &mut self.classic_ws,
+                Some(cp),
+            ),
+        }?;
+        profile.matrix_filter += filter;
         Ok((result, profile))
     }
 
@@ -432,6 +376,16 @@ impl<'g> SsspEngine<'g> {
         }
         cp.validate(self.g.num_vertices())?;
         Ok(cp)
+    }
+}
+
+/// The checkpoint tag of an engine classic run: `"fused"` without a
+/// pool, `"improved"` with one.
+fn classic_tag(pool: Option<&ThreadPool>) -> &'static str {
+    if pool.is_some() {
+        "improved"
+    } else {
+        "fused"
     }
 }
 
@@ -668,7 +622,7 @@ mod tests {
         let loaded = engine.load_checkpoint(&path).unwrap();
         assert_eq!(loaded, cp);
         // The router sends stepping checkpoints to the generalized loop
-        // and classic ones to the bucket resume paths.
+        // and classic ones to the bucket loop.
         let (resumed, _) = engine
             .resume_stepping(None, &loaded, &mut RunBudget::unlimited())
             .unwrap();
@@ -704,7 +658,9 @@ mod tests {
         engine.save_checkpoint(&cp, &path).unwrap();
         let loaded = engine.load_checkpoint(&path).unwrap();
         assert_eq!(loaded, cp);
-        let (resumed, _) = engine.resume_fused(&loaded, &mut RunBudget::unlimited()).unwrap();
+        let (resumed, _) = engine
+            .resume_stepping(None, &loaded, &mut RunBudget::unlimited())
+            .unwrap();
         assert_eq!(resumed.dist, full.dist);
         assert_eq!(resumed.stats, full.stats);
 
@@ -783,11 +739,13 @@ mod tests {
                 .run_fused(3, 1.0, &mut RunBudget::unlimited().cancel_after(k))
                 .unwrap_err();
             let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-            let (seq, _) = engine.resume_fused(&cp, &mut RunBudget::unlimited()).unwrap();
+            let (seq, _) = engine
+                .resume_stepping(None, &cp, &mut RunBudget::unlimited())
+                .unwrap();
             assert_eq!(seq.dist, full.dist, "fused resume, epoch {k}");
             assert_eq!(seq.stats, full.stats, "fused resume, epoch {k}");
             let (par, _) = engine
-                .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
+                .resume_stepping(Some(&pool), &cp, &mut RunBudget::unlimited())
                 .unwrap();
             assert_eq!(par.dist, full.dist, "improved resume, epoch {k}");
             assert_eq!(par.stats, full.stats, "improved resume, epoch {k}");

@@ -246,7 +246,7 @@ pub fn explore(
 
 /// The cancel-then-resume path under adversarial schedules: per seed,
 /// cancel a parallel-improved run after `cancel_epoch` budget checks,
-/// then resume its checkpoint through [`SsspEngine::resume_parallel_improved`]
+/// then resume its checkpoint on the pool through [`SsspEngine::resume_stepping`]
 /// — both halves armed on the same seed — and require the stitched result
 /// to be bit-identical (distances *and* stats) to the fused reference.
 pub fn explore_cancel_resume(
@@ -282,7 +282,7 @@ pub fn explore_cancel_resume(
             };
             let mut engine = SsspEngine::new(g);
             let (resumed, _) = engine
-                .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
+                .resume_stepping(Some(&pool), &cp, &mut RunBudget::unlimited())
                 .map_err(|_| ())?;
             // Improved is bit-identical to fused in distances and stats.
             if bits(&resumed.dist) != ref_bits || resumed.stats != reference.stats {
@@ -311,45 +311,4 @@ pub fn explore_cancel_resume(
         }
     }
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use graphdata::gen::grid2d;
-
-    #[test]
-    fn smoke_explore_improved_is_clean() {
-        let g = CsrGraph::from_edge_list(&grid2d(5, 5)).unwrap();
-        let cfg = ExploreConfig {
-            seeds: 0..3,
-            ..ExploreConfig::default()
-        };
-        let report = explore(Implementation::ParallelImproved, &g, 0, 1.0, &cfg);
-        assert_eq!(report.schedules, 3);
-        assert!(
-            report.is_clean(),
-            "races: {:?}, divergent: {:?}",
-            report.races,
-            report.divergent_seeds
-        );
-        assert!(report.events > 0, "instrumentation must have fired");
-    }
-
-    #[test]
-    fn smoke_cancel_resume_is_clean() {
-        let g = CsrGraph::from_edge_list(&grid2d(5, 5)).unwrap();
-        let cfg = ExploreConfig {
-            seeds: 0..2,
-            ..ExploreConfig::default()
-        };
-        let report = explore_cancel_resume(&g, 0, 1.0, 2, &cfg);
-        assert_eq!(report.schedules, 2);
-        assert!(
-            report.is_clean(),
-            "races: {:?}, divergent: {:?}",
-            report.races,
-            report.divergent_seeds
-        );
-    }
 }

@@ -16,18 +16,29 @@
 //!
 //! Unlike the GraphBLAS version, state lives in dense arrays (`Vec<f64>`,
 //! `Vec<bool>`) exactly like the paper's direct C implementation.
+//!
+//! The loop itself, `classic_loop`, is the one classic Δ-stepping loop
+//! of the crate: the paper's task-parallel scheme ([`crate::parallel`])
+//! and its proposed improvement ([`crate::parallel_improved`]) differ
+//! from the fused code only in how they build the split and which
+//! relaxation back end they hand the loop, so they are thin wrappers
+//! around it. Budget checks, checkpoint emission at both stop points,
+//! and mid-bucket resume live only here; resuming goes through
+//! [`crate::engine::SsspEngine::resume_stepping`].
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
+use taskpool::ThreadPool;
 
 use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
 use crate::checkpoint::{Checkpoint, LiveState, StopPoint};
 use crate::guard::SsspError;
-use crate::pull::{self, PullIndex};
+use crate::pull::PullIndex;
+use crate::reqbuf::{self, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
 use crate::INF;
@@ -67,16 +78,20 @@ impl PartialEq for LightHeavy {
 }
 
 impl LightHeavy {
-    /// Split `g`'s adjacency at threshold `delta` in one pass.
+    /// Split `g`'s adjacency at threshold `delta` in one pass (after a
+    /// count over the weights, so every array is allocated once at its
+    /// final size).
     pub fn build(g: &CsrGraph, delta: f64) -> Self {
         let n = g.num_vertices();
+        let num_light = g.weights().iter().filter(|&&w| w <= delta).count();
+        let num_heavy = g.weights().len() - num_light;
         let mut lh = LightHeavy {
             light_off: Vec::with_capacity(n + 1),
-            light_tgt: Vec::new(),
-            light_w: Vec::new(),
+            light_tgt: Vec::with_capacity(num_light),
+            light_w: Vec::with_capacity(num_light),
             heavy_off: Vec::with_capacity(n + 1),
-            heavy_tgt: Vec::new(),
-            heavy_w: Vec::new(),
+            heavy_tgt: Vec::with_capacity(num_heavy),
+            heavy_w: Vec::with_capacity(num_heavy),
             pull: OnceLock::new(),
         };
         lh.light_off.push(0);
@@ -151,51 +166,14 @@ impl LightHeavy {
     }
 }
 
-/// Shared relaxation state: the dense `t_Req` accumulator plus the list of
-/// touched positions (the sparse pattern of the request vector).
-struct ReqBuffer {
-    req: Vec<f64>,
-    touched: Vec<usize>,
-}
-
-impl ReqBuffer {
-    fn new(n: usize) -> Self {
-        ReqBuffer {
-            req: vec![INF; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// `req[u] = min(req[u], cand)`, tracking first touches.
-    #[inline]
-    fn offer(&mut self, u: usize, cand: f64) {
-        if self.req[u] == INF {
-            self.touched.push(u);
-            self.req[u] = cand;
-        } else if cand < self.req[u] {
-            self.req[u] = cand;
-        }
-    }
-
-    /// Hand every touched `(u, t_Req[u])` to `f` in touch order, resetting
-    /// the accumulator for the next phase.
-    #[inline]
-    fn drain(&mut self, mut f: impl FnMut(usize, f64)) {
-        for &u in &self.touched {
-            f(u, self.req[u]);
-            self.req[u] = INF;
-        }
-        self.touched.clear();
-    }
-}
-
-/// Reusable per-run state for [`delta_stepping_fused_with`]: the dense
-/// request accumulator, the bucket ring and the frontier/settled scratch
-/// vectors. Callers
-/// that run many queries (multi-source, bench loops) keep one of these so
-/// repeated runs allocate nothing.
-pub struct FusedWorkspace {
-    reqs: ReqBuffer,
+/// Reusable per-run state of the classic loop: the relaxation workspace
+/// (dense request accumulator plus per-task buffers), the bucket ring,
+/// and the frontier/settled scratch. Callers that run many queries (the
+/// engine, bench loops) keep one of these so repeated runs allocate
+/// nothing, pooled or not.
+#[derive(Debug, Default)]
+pub struct ClassicWorkspace {
+    relax: RelaxWorkspace,
     frontier: Vec<usize>,
     settled: Vec<usize>,
     /// Frontier bitmap for dense (pull) epochs — all-`false` between
@@ -204,31 +182,19 @@ pub struct FusedWorkspace {
     ring: BucketRing,
 }
 
-impl std::fmt::Debug for FusedWorkspace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FusedWorkspace")
-            .field("capacity", &self.reqs.req.len())
-            .finish()
-    }
-}
-
-impl FusedWorkspace {
+impl ClassicWorkspace {
     /// Workspace sized for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
-        FusedWorkspace {
-            reqs: ReqBuffer::new(n),
-            frontier: Vec::new(),
-            settled: Vec::new(),
+        ClassicWorkspace {
+            relax: RelaxWorkspace::new(n),
             in_frontier: vec![false; n],
-            ring: BucketRing::new(),
+            ..ClassicWorkspace::default()
         }
     }
 
     /// Grow (never shrink) to fit an `n`-vertex graph.
     pub fn ensure(&mut self, n: usize) {
-        if self.reqs.req.len() < n {
-            self.reqs.req.resize(n, INF);
-        }
+        self.relax.ensure(n);
         if self.in_frontier.len() < n {
             self.in_frontier.resize(n, false);
         }
@@ -264,82 +230,61 @@ pub fn delta_stepping_fused_checked(
     delta: f64,
     budget: &mut RunBudget,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
     // Matrix filtering phase: A_L / A_H in one fused pass.
+    run_split(None, "fused", g, source, delta, budget, || LightHeavy::build(g, delta))
+}
+
+/// Build a split with `split` — timed as the profile's `matrix_filter` —
+/// and run [`classic_loop`] over it with a fresh workspace: the body of
+/// every one-shot `*_checked` classic entry point.
+pub(crate) fn run_split(
+    pool: Option<&ThreadPool>,
+    tag: &'static str,
+    g: &CsrGraph,
+    source: usize,
+    delta: f64,
+    budget: &mut RunBudget,
+    split: impl FnOnce() -> LightHeavy,
+) -> Result<(SsspResult, PhaseProfile), SsspError> {
     let t0 = Instant::now();
-    let lh = LightHeavy::build(g, delta);
+    let lh = split();
     let filter_time = t0.elapsed();
-    let mut ws = FusedWorkspace::new(g.num_vertices());
+    let mut ws = ClassicWorkspace::new(g.num_vertices());
     let (result, mut profile) =
-        delta_stepping_fused_with(g, &lh, source, delta, budget, &mut ws)?;
+        classic_loop(pool, tag, g, &lh, source, delta, budget, &mut ws, None)?;
     profile.matrix_filter += filter_time;
     Ok((result, profile))
 }
 
-/// The fused main loop over a **prebuilt** light/heavy split and a
-/// caller-owned workspace — the entry point [`crate::engine::SsspEngine`]'s
-/// split cache uses. The returned profile contains no `matrix_filter` time
-/// (the caller decides whether a cached split costs anything).
-pub fn delta_stepping_fused_with(
+/// The classic Δ-stepping loop over a **prebuilt** light/heavy split and
+/// a caller-owned workspace, optionally continuing from a checkpoint
+/// instead of starting at the source's bucket. Every bucket
+/// implementation is this loop: `pool` picks the relaxation back end and
+/// `tag` names the implementation in the checkpoints it emits.
+///
+/// * `None` relaxes with the sequential scatter
+///   ([`crate::reqbuf::relax_sequential`]) and, on dense epochs, the
+///   sequential pull pass — the paper's fused code (Fig. 3) and, behind
+///   its two-task split, the task-parallel scheme (Fig. 4).
+/// * `Some(pool)` relaxes through the per-task request buffers
+///   ([`crate::reqbuf::relax_buffered`]) and the pooled pull pass — the
+///   improvement the paper proposes in Sec. VI-C.
+///
+/// Both back ends fold the same candidates with an exact min, so
+/// distances and [`crate::SsspStats`] are bit-identical across them and
+/// across thread counts, and a checkpoint cut by either resumes on
+/// either. The returned profile contains no `matrix_filter` time (the
+/// caller decides whether a cached split costs anything).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn classic_loop(
+    pool: Option<&ThreadPool>,
+    tag: &'static str,
     g: &CsrGraph,
     lh: &LightHeavy,
     source: usize,
     delta: f64,
     budget: &mut RunBudget,
-    ws: &mut FusedWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    fused_loop(g, lh, source, delta, budget, ws, None)
-}
-
-/// Resume an interrupted fused run from a [`Checkpoint`], rebuilding the
-/// light/heavy split. The continued run is **bit-identical** (distances
-/// and [`crate::SsspStats`]) to an uninterrupted run — the checkpoint
-/// captures the loop state exactly at an epoch boundary, and the loop is
-/// deterministic from there.
-pub fn delta_stepping_fused_resume(
-    g: &CsrGraph,
-    cp: &Checkpoint,
-    budget: &mut RunBudget,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
-    let t0 = Instant::now();
-    let lh = LightHeavy::build(g, cp.delta);
-    let filter_time = t0.elapsed();
-    let mut ws = FusedWorkspace::new(g.num_vertices());
-    let (result, mut profile) = delta_stepping_fused_resume_with(g, &lh, cp, budget, &mut ws)?;
-    profile.matrix_filter += filter_time;
-    Ok((result, profile))
-}
-
-/// [`delta_stepping_fused_resume`] over a prebuilt split and caller-owned
-/// workspace (the [`crate::engine::SsspEngine`] resume path).
-pub fn delta_stepping_fused_resume_with(
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    cp: &Checkpoint,
-    budget: &mut RunBudget,
-    ws: &mut FusedWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
-    if !cp.resumable {
-        return Err(SsspError::InvalidCheckpoint {
-            reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
-        });
-    }
-    fused_loop(g, lh, cp.source, cp.delta, budget, ws, Some(cp))
-}
-
-/// The fused main loop, optionally continuing from a checkpoint instead of
-/// starting at the source's bucket.
-fn fused_loop(
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-    ws: &mut FusedWorkspace,
+    ws: &mut ClassicWorkspace,
     resume: Option<&Checkpoint>,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
     if !(delta > 0.0 && delta.is_finite()) {
@@ -356,8 +301,8 @@ fn fused_loop(
     let mut profile = PhaseProfile::default();
 
     ws.ensure(n);
-    let FusedWorkspace {
-        reqs,
+    let ClassicWorkspace {
+        relax,
         frontier,
         settled,
         in_frontier,
@@ -374,6 +319,11 @@ fn fused_loop(
     let mut entering_mid = false;
     match resume {
         Some(cp) => {
+            if !cp.resumable {
+                return Err(SsspError::InvalidCheckpoint {
+                    reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
+                });
+            }
             result.dist.clone_from(&cp.dist);
             result.stats = cp.stats.clone();
             i = cp.bucket;
@@ -393,7 +343,7 @@ fn fused_loop(
         } else {
             if let Err(stop) = budget.check() {
                 return Err(LiveState {
-                    implementation: "fused",
+                    implementation: tag,
                     source,
                     delta,
                     dist: t,
@@ -429,7 +379,7 @@ fn fused_loop(
         while !frontier.is_empty() {
             if let Err(stop) = budget.check() {
                 return Err(LiveState {
-                    implementation: "fused",
+                    implementation: tag,
                     source,
                     delta,
                     dist: t,
@@ -444,8 +394,8 @@ fn fused_loop(
                 .stop(stop));
             }
             result.stats.light_phases += 1;
-            // Fusion 1: t_Req = A_L^T (t ∘ t_Bi). Sparse frontiers run
-            // the fused scatter loop; dense ones (per the shared density
+            // Fusion 1: t_Req = A_L^T (t ∘ t_Bi). Sparse frontiers scatter
+            // their light edges; dense ones (per the shared density
             // oracle) pull the light in-edges against a frontier bitmap
             // instead — the request vector is bit-identical either way
             // (see [`crate::pull`]), only the traversal order changes.
@@ -462,14 +412,7 @@ fn fused_loop(
                         lower = t[v];
                     }
                 }
-                pull::pull_light_sequential(
-                    lh.pull_index(),
-                    t,
-                    in_frontier,
-                    lower,
-                    &mut reqs.req,
-                    &mut reqs.touched,
-                );
+                relax.pull_light(pool, lh.pull_index(), t, in_frontier, lower);
                 for &v in frontier.iter() {
                     in_frontier[v] = false;
                 }
@@ -477,14 +420,15 @@ fn fused_loop(
                 // the pull pass covers exactly that edge set.
                 result.stats.relaxations += frontier_edges as u64;
             } else {
-                for &v in frontier.iter() {
-                    let tv = t[v];
-                    let (targets, weights) = lh.light(v);
-                    for (&u, &w) in targets.iter().zip(weights.iter()) {
-                        result.stats.relaxations += 1;
-                        reqs.offer(u, tv + w);
-                    }
-                }
+                reqbuf::relax(
+                    pool,
+                    lh,
+                    t,
+                    frontier,
+                    true,
+                    relax,
+                    &mut result.stats.relaxations,
+                );
             }
             profile.relaxation += t0.elapsed();
 
@@ -493,8 +437,9 @@ fn fused_loop(
             let t0 = Instant::now();
             settled.extend_from_slice(frontier);
             frontier.clear();
-            reqs.drain(|u, cand| {
-                ring.merge(t, u, cand, &mut result.stats.improvements, frontier);
+            let improvements = &mut result.stats.improvements;
+            relax.drain_requests(|u, cand| {
+                ring.merge(t, u, cand, improvements, frontier);
             });
             profile.vector_ops += t0.elapsed();
         }
@@ -502,19 +447,21 @@ fn fused_loop(
         // Heavy phase over everything settled from bucket i.
         result.stats.heavy_phases += 1;
         let t0 = Instant::now();
-        for &v in settled.iter() {
-            let tv = t[v];
-            let (targets, weights) = lh.heavy(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
-                result.stats.relaxations += 1;
-                reqs.offer(u, tv + w);
-            }
-        }
+        reqbuf::relax(
+            pool,
+            lh,
+            t,
+            settled,
+            false,
+            relax,
+            &mut result.stats.relaxations,
+        );
         profile.relaxation += t0.elapsed();
 
         let t0 = Instant::now();
-        reqs.drain(|u, cand| {
-            ring.merge(t, u, cand, &mut result.stats.improvements, frontier);
+        let improvements = &mut result.stats.improvements;
+        relax.drain_requests(|u, cand| {
+            ring.merge(t, u, cand, improvements, frontier);
         });
         profile.vector_ops += t0.elapsed();
 
@@ -528,6 +475,7 @@ mod tests {
     use super::*;
     use crate::canonical::delta_stepping_canonical;
     use crate::dijkstra::dijkstra;
+    use crate::engine::SsspEngine;
     use graphdata::gen::{grid2d, path};
     use graphdata::EdgeList;
 
@@ -668,8 +616,9 @@ mod tests {
             )
             .unwrap_err();
             let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-            let (resumed, _) =
-                delta_stepping_fused_resume(&g, &cp, &mut RunBudget::unlimited()).unwrap();
+            let (resumed, _) = SsspEngine::new(&g)
+                .resume_stepping(None, &cp, &mut RunBudget::unlimited())
+                .unwrap();
             assert_eq!(
                 resumed.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
                 full.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
@@ -702,10 +651,19 @@ mod tests {
             (bucket_skip_grid(), 0.5),
         ] {
             let lh = LightHeavy::build(&g, delta);
-            let mut ws = FusedWorkspace::new(g.num_vertices());
-            let (r, _) =
-                delta_stepping_fused_with(&g, &lh, 0, delta, &mut RunBudget::unlimited(), &mut ws)
-                    .unwrap();
+            let mut ws = ClassicWorkspace::new(g.num_vertices());
+            let (r, _) = classic_loop(
+                None,
+                "fused",
+                &g,
+                &lh,
+                0,
+                delta,
+                &mut RunBudget::unlimited(),
+                &mut ws,
+                None,
+            )
+            .unwrap();
             assert_eq!(r.dist, dijkstra(&g, 0).dist);
             assert!(
                 ws.ring.visited() <= r.stats.improvements + 1,
@@ -725,12 +683,12 @@ mod tests {
         let mut foreign = cp.clone();
         foreign.resumable = false;
         assert!(matches!(
-            delta_stepping_fused_resume(&g, &foreign, &mut RunBudget::unlimited()),
+            SsspEngine::new(&g).resume_stepping(None, &foreign, &mut RunBudget::unlimited()),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
         let other = CsrGraph::from_edge_list(&path(4)).unwrap();
         assert!(matches!(
-            delta_stepping_fused_resume(&other, &cp, &mut RunBudget::unlimited()),
+            SsspEngine::new(&other).resume_stepping(None, &cp, &mut RunBudget::unlimited()),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
     }

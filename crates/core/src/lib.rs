@@ -8,10 +8,10 @@
 //! |---|---|
 //! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) — the [`buckets`] ring every bucket loop shares |
 //! | [`gblas_impl`] | the **unfused GraphBLAS** implementation (Fig. 2, call-for-call) |
-//! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) |
-//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks; its chunked vector scans are costed in [`parallel_sim`]) |
-//! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering + contention-free request-buffer relaxation ([`reqbuf`]) |
-//! | [`parallel_atomic`] | the prior atomic-CAS relaxation scheme, kept as the before/after benchmark baseline |
+//! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) — and the one classic bucket loop the next two rows share |
+//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks, then the pool-less classic loop; its chunked vector scans are costed in [`parallel_sim`]) |
+//! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering, then the classic loop on contention-free request-buffer relaxation ([`reqbuf`]) |
+//! | [`stepping`] | ρ- and Δ*-stepping (Dong–Gu–Sun–Zhang) behind one extraction loop |
 //! | [`dijkstra`], [`bellman_ford`] | classic baselines |
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
@@ -53,12 +53,11 @@ pub mod gblas_select;
 pub mod guard;
 pub mod manifest;
 pub mod parallel;
-pub mod parallel_atomic;
 pub mod parallel_improved;
-pub mod pull;
-pub mod reqbuf;
 pub mod parallel_sim;
 pub mod paths;
+pub mod pull;
+pub mod reqbuf;
 pub mod result;
 pub mod run;
 pub mod schedule;

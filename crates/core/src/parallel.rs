@@ -13,26 +13,22 @@
 //! * the relaxation products themselves stay sequential, as in the paper
 //!   ("parallelizing within the matrix-vector operations … would improve
 //!   performance and scalability" is future work there, and is implemented
-//!   here in [`crate::parallel_improved`]).
-
-use std::time::Instant;
+//!   here in [`crate::parallel_improved`]): after the split, the run is
+//!   the pool-less `fused::classic_loop`.
 
 use graphdata::CsrGraph;
 use taskpool::{join, ThreadPool};
 
-use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
-use crate::checkpoint::{LiveState, StopPoint};
-use crate::fused::LightHeavy;
+use crate::fused::{run_split, LightHeavy};
 use crate::guard::SsspError;
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
-use crate::INF;
+
+type CsrParts = (Vec<usize>, Vec<usize>, Vec<f64>);
 
 /// Build the light/heavy split as two parallel tasks (the paper's scheme:
 /// one task per output matrix, each re-scanning the adjacency).
-type CsrParts = (Vec<usize>, Vec<usize>, Vec<f64>);
-
 pub fn split_light_heavy_two_tasks(pool: &ThreadPool, g: &CsrGraph, delta: f64) -> LightHeavy {
     let n = g.num_vertices();
     let filter = |keep: fn(f64, f64) -> bool| -> CsrParts {
@@ -74,27 +70,20 @@ pub fn delta_stepping_parallel(
     source: usize,
     delta: f64,
 ) -> SsspResult {
-    delta_stepping_parallel_profiled(pool, g, source, delta).0
-}
-
-/// [`delta_stepping_parallel`] with phase timing.
-pub fn delta_stepping_parallel_profiled(
-    pool: &ThreadPool,
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-) -> (SsspResult, PhaseProfile) {
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
     delta_stepping_parallel_checked(pool, g, source, delta, &mut RunBudget::unlimited())
         .expect("inputs asserted valid and the budget is unlimited")
+        .0
 }
 
 /// [`delta_stepping_parallel`] under a [`RunBudget`]: returns
 /// [`SsspError`] instead of panicking on a bad Δ or source, trips the
 /// epoch budget instead of looping forever on malformed weight data, and
 /// observes cancellation/deadlines at every epoch boundary, emitting a
-/// resumable checkpoint (this implementation is bit-identical to the
-/// fused loop, so its checkpoints resume on the fused/improved paths).
+/// resumable checkpoint tagged `"parallel"`. The split is the paper's
+/// two tasks; the bucket loop is the pool-less
+/// `fused::classic_loop`, so its checkpoints resume on either
+/// back end.
 /// Worker panics still propagate; wrap the call in
 /// [`taskpool::install_try`] (as [`crate::run::run_checked`] does) to
 /// convert them into errors.
@@ -105,137 +94,9 @@ pub fn delta_stepping_parallel_checked(
     delta: f64,
     budget: &mut RunBudget,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    let n = g.num_vertices();
-    if source >= n {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: n,
-        });
-    }
-    let mut result = SsspResult::init(n, source);
-    let mut profile = PhaseProfile::default();
-
-    let t0 = Instant::now();
-    let lh = split_light_heavy_two_tasks(pool, g, delta);
-    profile.matrix_filter += t0.elapsed();
-
-    let mut req: Vec<f64> = vec![INF; n];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut frontier: Vec<usize> = Vec::new();
-    let mut settled: Vec<usize> = Vec::new();
-    let mut ring = BucketRing::new();
-    ring.start(n, delta, source);
-
-    let mut i = 0usize;
-    loop {
-        if let Err(stop) = budget.check() {
-            return Err(LiveState {
-                implementation: "parallel",
-                source,
-                delta,
-                dist: &result.dist,
-                stats: &result.stats,
-                bucket: i,
-                stop_point: StopPoint::BucketStart,
-                frontier: &[],
-                settled: &[],
-                resumable: true,
-                stepping: None,
-            }
-            .stop(stop));
-        }
-        let t0 = Instant::now();
-        let next = ring.take(i, &mut frontier);
-        profile.vector_ops += t0.elapsed();
-        match next {
-            None => break,
-            Some(b) if b != i => {
-                i = b;
-                continue;
-            }
-            Some(_) => {}
-        }
-        result.stats.buckets_processed += 1;
-        settled.clear();
-
-        while !frontier.is_empty() {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: "parallel",
-                    source,
-                    delta,
-                    dist: &result.dist,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier: &frontier,
-                    settled: &settled,
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            result.stats.light_phases += 1;
-            // Sequential relaxation (the paper's scheme).
-            let t0 = Instant::now();
-            for &v in &frontier {
-                let tv = result.dist[v];
-                let (targets, weights) = lh.light(v);
-                for (&u, &w) in targets.iter().zip(weights.iter()) {
-                    result.stats.relaxations += 1;
-                    let cand = tv + w;
-                    if req[u] == INF {
-                        touched.push(u);
-                        req[u] = cand;
-                    } else if cand < req[u] {
-                        req[u] = cand;
-                    }
-                }
-            }
-            profile.relaxation += t0.elapsed();
-
-            let t0 = Instant::now();
-            settled.extend_from_slice(&frontier);
-            frontier.clear();
-            for &u in &touched {
-                let cand = std::mem::replace(&mut req[u], INF);
-                ring.merge(&mut result.dist, u, cand, &mut result.stats.improvements, &mut frontier);
-            }
-            touched.clear();
-            profile.vector_ops += t0.elapsed();
-        }
-
-        result.stats.heavy_phases += 1;
-        let t0 = Instant::now();
-        for &v in &settled {
-            let tv = result.dist[v];
-            let (targets, weights) = lh.heavy(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
-                result.stats.relaxations += 1;
-                let cand = tv + w;
-                if req[u] == INF {
-                    touched.push(u);
-                    req[u] = cand;
-                } else if cand < req[u] {
-                    req[u] = cand;
-                }
-            }
-        }
-        profile.relaxation += t0.elapsed();
-        let t0 = Instant::now();
-        for &u in &touched {
-            let cand = std::mem::replace(&mut req[u], INF);
-            ring.merge(&mut result.dist, u, cand, &mut result.stats.improvements, &mut frontier);
-        }
-        touched.clear();
-        profile.vector_ops += t0.elapsed();
-
-        i += 1;
-    }
-    Ok((result, profile))
+    run_split(None, "parallel", g, source, delta, budget, || {
+        split_light_heavy_two_tasks(pool, g, delta)
+    })
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
 //! The contention-free request-buffer relaxation core.
 //!
-//! Both earlier parallel schemes funneled every relaxation product through
-//! shared state: [`crate::parallel`] serializes the whole relaxation, and
-//! the original improved scheme (preserved as [`crate::parallel_atomic`])
-//! scatters into a dense `AtomicU64` request vector and collects touched
-//! lists under a `Mutex`. This module is the rebuild both Kranjčević et
-//! al. ("Parallel Δ-Stepping for Shared Memory") and Dong et al.
-//! ("Efficient Stepping Algorithms") point to: **per-task sparse request
-//! buffers, merged deterministically at phase end**.
+//! The paper's task-parallel scheme ([`crate::parallel`]) keeps the
+//! relaxation sequential, and an earlier improved scheme scattered into
+//! a dense `AtomicU64` request vector and collected touched lists under
+//! a `Mutex` (its history and numbers are in DESIGN.md §9). This module
+//! is the rebuild both Kranjčević et al. ("Parallel Δ-Stepping for
+//! Shared Memory") and Dong et al. ("Efficient Stepping Algorithms")
+//! point to: **per-task sparse request buffers, merged deterministically
+//! at phase end**.
 //!
-//! A relaxation phase runs in two steps:
+//! A pooled relaxation phase ([`relax_buffered`]) runs in two steps:
 //!
 //! 1. *Produce* — the frontier is split into even chunks; each task writes
 //!    `(target, candidate)` pairs into its own [`RequestBuf`]
@@ -18,9 +18,15 @@
 //! 2. *Merge* — the caller folds the buffers into the dense `req`
 //!    accumulator **in spawn order**, min-combining duplicates and
 //!    recording first touches. Only the entries actually touched are ever
-//!    reset back to `∞`, and the touched list is sorted on *every* path,
-//!    so downstream bookkeeping order is identical whatever the frontier
-//!    size or thread count.
+//!    reset back to `∞`, and the pooled touched list is sorted on both of
+//!    its branches, so its order is identical whatever the frontier size
+//!    or thread count.
+//!
+//! Without a pool, [`relax_sequential`] scatters straight into the same
+//! accumulator and leaves the touched list in first-touch order: the
+//! fold is an exact min and every touched vertex is merged once, so the
+//! order changes neither distances nor [`crate::SsspStats`], and the
+//! per-phase sort would be pure cost. `relax` picks between the two.
 //!
 //! Distances are bit-identical across thread counts: candidates are
 //! `dist[v] + w` with finite non-negative weights (preflight rejects the
@@ -107,14 +113,15 @@ impl RelaxWorkspace {
         }
     }
 
-    /// The touched positions of the current request vector, sorted
-    /// ascending (canonical on every relaxation path).
+    /// The touched positions of the current request vector: ascending
+    /// after [`relax_buffered`] and the pull pass, first-touch order
+    /// after [`relax_sequential`].
     pub fn touched(&self) -> &[usize] {
         &self.touched
     }
 
-    /// Visit `(vertex, candidate)` for every touched entry in sorted
-    /// vertex order, resetting each entry to `∞` — the only writes the
+    /// Visit `(vertex, candidate)` for every touched entry in
+    /// [`Self::touched`] order, resetting each entry to `∞` — the only writes the
     /// reset ever performs are on entries that were actually touched.
     pub fn drain_requests<F: FnMut(usize, f64)>(&mut self, mut f: F) {
         for &u in &self.touched {
@@ -127,29 +134,40 @@ impl RelaxWorkspace {
 
     /// Fill the request accumulator by the dense **pull** pass instead of
     /// the push scatter: scan every target's light in-edges against the
-    /// frontier bitmap (see [`crate::pull`]). The drain-side contract is
-    /// unchanged — `touched` comes out ascending and only touched entries
-    /// ever need resetting — and the resulting request vector is
-    /// bit-identical to [`relax_buffered`]'s over the same frontier.
+    /// frontier bitmap (see [`crate::pull`]), across the pool when one is
+    /// given. The drain-side contract is unchanged — `touched` comes out
+    /// ascending and only touched entries ever need resetting — and the
+    /// resulting request vector is bit-identical to the push scatter's
+    /// over the same frontier.
     pub fn pull_light(
         &mut self,
-        pool: &ThreadPool,
+        pool: Option<&ThreadPool>,
         idx: &crate::pull::PullIndex,
         dist: &[f64],
         in_frontier: &[bool],
         lower: f64,
     ) {
-        crate::pull::pull_light_parallel(
-            pool,
-            idx,
-            dist,
-            in_frontier,
-            lower,
-            &mut self.req,
-            &mut self.touched,
-            &mut self.pull_locals,
-            effective_threshold(crate::pull::SEQ_PULL_THRESHOLD),
-        );
+        match pool {
+            Some(pool) => crate::pull::pull_light_parallel(
+                pool,
+                idx,
+                dist,
+                in_frontier,
+                lower,
+                &mut self.req,
+                &mut self.touched,
+                &mut self.pull_locals,
+                effective_threshold(crate::pull::SEQ_PULL_THRESHOLD),
+            ),
+            None => crate::pull::pull_light_sequential(
+                idx,
+                dist,
+                in_frontier,
+                lower,
+                &mut self.req,
+                &mut self.touched,
+            ),
+        }
     }
 
     /// Debug invariant: the accumulator is all-`∞` when no phase is in
@@ -170,12 +188,12 @@ fn offer(req: &mut [f64], touched: &mut Vec<usize>, u: usize, cand: f64) {
     }
 }
 
-/// The sequential scatter alone, for callers without a thread pool (the
-/// generalized stepping loop's pool-less path). Identical output contract
-/// to [`relax_buffered`] — same offers into the accumulator, touched list
-/// sorted ascending — and bit-identical to both of its branches (see
-/// `touched_order_identical_across_branches`), so a pool-less run and a
-/// pooled run of the same loop agree exactly.
+/// The sequential scatter: offer every light (or heavy) edge product of
+/// `frontier` into the accumulator, leaving the touched list in
+/// first-touch order. Drained, it yields the same `(vertex, candidate)`
+/// pairs as [`relax_buffered`] (see `touched_order_identical_across_branches`),
+/// only unsorted — which is what the pool-less loops want: the order
+/// changes neither distances nor stats, so they skip the sort.
 pub fn relax_sequential(
     lh: &LightHeavy,
     dist: &[f64],
@@ -190,9 +208,29 @@ pub fn relax_sequential(
         for (&u, &w) in targets.iter().zip(weights.iter()) {
             offer(&mut ws.req, &mut ws.touched, u, tv + w);
         }
+        // Counted per completed vertex, matching the parallel path's
+        // per-completed-chunk accounting.
         *relaxations += targets.len() as u64;
     }
-    ws.touched.sort_unstable();
+}
+
+/// Relax `frontier`'s light or heavy edges into the request workspace:
+/// through [`relax_buffered`] when a pool is given, else by
+/// [`relax_sequential`]. Both fold the same candidates, so the drained
+/// requests are bit-identical either way.
+pub(crate) fn relax(
+    pool: Option<&ThreadPool>,
+    lh: &LightHeavy,
+    dist: &[f64],
+    frontier: &[usize],
+    use_light: bool,
+    ws: &mut RelaxWorkspace,
+    relaxations: &mut u64,
+) {
+    match pool {
+        Some(pool) => relax_buffered(pool, lh, dist, frontier, use_light, ws, relaxations),
+        None => relax_sequential(lh, dist, frontier, use_light, ws, relaxations),
+    }
 }
 
 /// Relax the light or heavy edges of `frontier` into the workspace's
@@ -247,16 +285,7 @@ pub fn relax_buffered_with_threshold(
         return;
     }
     if nnz < threshold || pool.num_threads() == 1 {
-        for &v in frontier {
-            let tv = dist[v];
-            let (targets, weights) = edges(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
-                offer(&mut ws.req, &mut ws.touched, u, tv + w);
-            }
-            // Counted per completed vertex, matching the parallel path's
-            // per-completed-chunk accounting.
-            *relaxations += targets.len() as u64;
-        }
+        relax_sequential(lh, dist, frontier, use_light, ws, relaxations);
         ws.touched.sort_unstable();
         return;
     }

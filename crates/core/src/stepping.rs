@@ -10,8 +10,8 @@
 //! the extraction threshold:
 //!
 //! * **classic Δ** — the next non-empty bucket `[b·Δ, (b+1)·Δ)`
-//!   (the existing [`crate::fused`] / [`crate::parallel_improved`]
-//!   loops; [`SteppingStrategy::Classic`] dispatches to them);
+//!   (the bucket-ring loop in [`crate::fused`];
+//!   [`SteppingStrategy::Classic`] dispatches to it);
 //! * **Δ\*** ([`SteppingStrategy::DeltaStar`]) — a *fused* bucket range
 //!   `[b·Δ, b·Δ + k·Δ)` covering `k` consecutive buckets per step, which
 //!   trades a few extra re-relaxations for far fewer heavy phases;
@@ -34,11 +34,12 @@
 //! thresholds come from that list and only the extracted frontier is
 //! sorted (into vertex order, the order a whole-vector scan would give).
 //!
-//! Determinism: relaxation goes through the contention-free
-//! [`crate::reqbuf`] request buffers (spawn-order merge, sorted touched
-//! lists), thresholds are pure functions of the distance multiset, and
-//! no float is produced that depends on thread count — distances *and*
-//! stats are bit-identical across 1/2/4 threads and the pool-less path.
+//! Determinism: relaxation goes through `reqbuf::relax` (the
+//! spawn-order request-buffer merge with a pool, the plain scatter
+//! without), thresholds are pure functions of the distance multiset,
+//! and no float is produced that depends on thread count — distances
+//! *and* stats are bit-identical across 1/2/4 threads and the pool-less
+//! path.
 //!
 //! Checkpointing follows the classic contract ([`crate::checkpoint`])
 //! with the certified bound generalized: `settled_below` is the
@@ -57,7 +58,7 @@ use crate::checkpoint::{Checkpoint, LiveState, SteppingState, StopPoint};
 use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
-use crate::reqbuf::{relax_buffered, relax_sequential, RelaxWorkspace};
+use crate::reqbuf::{relax, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
 use crate::INF;
@@ -74,8 +75,8 @@ pub const DEFAULT_DELTA_STAR_FACTOR: f64 = 4.0;
 /// Frontier-extraction policy of the generalized stepping loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SteppingStrategy {
-    /// The existing bucket ring: dispatches to the battle-tested
-    /// fused/parallel-improved loops unchanged.
+    /// The bucket ring: dispatches to the classic loop in
+    /// [`crate::fused`].
     Classic,
     /// Extract the ρ nearest tentative vertices per step (ties at the
     /// ρ-th value are all included, keeping extraction deterministic).
@@ -234,7 +235,7 @@ pub fn delta_stepping_strategy(
 /// (bit-identical to every pooled thread count).
 ///
 /// [`SteppingStrategy::Classic`] is *not* accepted here: the engine
-/// dispatches it to the fused/parallel-improved loops, which are the
+/// dispatches it to the classic loop in [`crate::fused`], which is the
 /// classic strategy's implementation.
 #[allow(clippy::too_many_arguments)]
 pub fn stepping_with(
@@ -297,25 +298,6 @@ fn next_up(x: f64) -> f64 {
         f64::from_bits(1)
     } else {
         f64::from_bits(x.to_bits() + 1)
-    }
-}
-
-/// Relax `frontier`'s light or heavy edges into the request workspace,
-/// through the pool when one is available. Both paths share the offer
-/// semantics and the sorted touched list, so the resulting request
-/// vector is bit-identical either way.
-fn relax(
-    pool: Option<&ThreadPool>,
-    lh: &LightHeavy,
-    dist: &[f64],
-    frontier: &[usize],
-    use_light: bool,
-    rws: &mut RelaxWorkspace,
-    relaxations: &mut u64,
-) {
-    match pool {
-        Some(pool) => relax_buffered(pool, lh, dist, frontier, use_light, rws, relaxations),
-        None => relax_sequential(lh, dist, frontier, use_light, rws, relaxations),
     }
 }
 

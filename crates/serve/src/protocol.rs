@@ -288,59 +288,8 @@ pub enum Response {
     Done,
 }
 
-// ---------------------------------------------------------------------------
-// Gen-spec parsing (mirrors the CLI's `--gen` grammar)
-// ---------------------------------------------------------------------------
-
-/// Parse a CLI-style generator spec (`grid:WxH`, `er:N,M`,
-/// `rmat:SCALE,EDGEFACTOR`, `ba:N,M`, `path:N`, `cycle:N`) into an edge
-/// list, with the same fixed seeds as the `sssp` CLI so the two front
-/// ends agree on what e.g. `er:500,2000` means.
-pub fn parse_gen_spec(spec: &str) -> Result<graphdata::EdgeList, String> {
-    use graphdata::gen;
-    let (kind, params) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad gen spec '{spec}'"))?;
-    let nums = |sep: char| -> Result<Vec<usize>, String> {
-        params
-            .split(sep)
-            .map(|t| t.parse().map_err(|_| format!("bad number in '{spec}'")))
-            .collect()
-    };
-    match kind {
-        "grid" => {
-            let d = nums('x')?;
-            if d.len() != 2 {
-                return Err("grid needs WxH".into());
-            }
-            Ok(gen::grid2d(d[0], d[1]))
-        }
-        "er" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("er needs N,M".into());
-            }
-            Ok(gen::gnm(d[0], d[1], 42))
-        }
-        "rmat" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("rmat needs SCALE,EDGEFACTOR".into());
-            }
-            Ok(gen::rmat(gen::RmatParams::graph500(d[0] as u32, d[1]), 42))
-        }
-        "ba" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("ba needs N,M".into());
-            }
-            Ok(gen::barabasi_albert(d[0], d[1], 42))
-        }
-        "path" => Ok(gen::path(nums(',')?[0])),
-        "cycle" => Ok(gen::cycle(nums(',')?[0])),
-        other => Err(format!("unknown generator '{other}'")),
-    }
-}
+/// The generator-spec grammar `LOAD GEN` shares with the CLI's `--gen`.
+pub use graphdata::gen::from_spec as parse_gen_spec;
 
 // ---------------------------------------------------------------------------
 // Text mode
@@ -1155,6 +1104,7 @@ mod tests {
             ("SSSP zzz 0", "bad fingerprint"),
             ("SSSP 1f", "source"),
             ("SSSP 1f 0 impl=frobnicate", "unknown implementation"),
+            ("SSSP 1f 0 impl=atomic", "unknown implementation"),
             ("SSSP 1f 0 strategy=bogus", "unknown strategy"),
             ("SSSP 1f 0 strategy=rho:0", "rho must be at least 1"),
             ("SSSP 1f 0 frob=1", "unknown SSSP option"),
@@ -1187,17 +1137,5 @@ mod tests {
         let b = dist_digest(&[0.0, 1.0 + f64::EPSILON, f64::INFINITY]);
         assert_ne!(a, b);
         assert_eq!(a, dist_digest(&[0.0, 1.0, f64::INFINITY]));
-    }
-
-    #[test]
-    fn gen_spec_matches_cli_grammar() {
-        let g = parse_gen_spec("grid:4x4").unwrap();
-        let csr = graphdata::CsrGraph::from_edge_list(&g).unwrap();
-        assert_eq!(csr.num_vertices(), 16);
-        assert!(parse_gen_spec("grid:4").is_err());
-        assert!(parse_gen_spec("nope:1,2").is_err());
-        assert!(parse_gen_spec("plain").is_err());
-        assert!(parse_gen_spec("er:50,200").is_ok());
-        assert!(parse_gen_spec("path:9").is_ok());
     }
 }

@@ -151,7 +151,7 @@ input (one of):
 options:
   --impl NAME              dijkstra | bellman-ford | delta/canonical | gblas |
                            gblas-select | gblas-parallel | fused (default) |
-                           parallel | improved | atomic
+                           parallel | improved
   --source V               source vertex (default 0)
   --sources V1,V2,...      run several sources through one engine (the
                            light/heavy split is built once and cached);
@@ -161,7 +161,7 @@ options:
                            the deadline reports a certified partial result
                            and exits 5. With --sources, selects batch mode
   --batch-workers N        run --sources through the resilient batch runner
-                           with N workers (any of the six --impl names;
+                           with N workers (any of the five --impl names;
                            panicking jobs retry once on sequential fused)
   --checkpoint-dir DIR     batch mode: persist budget-stopped jobs to
                            DIR/ckpt-<source>.bin and resume from existing
@@ -296,51 +296,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-fn generate(spec: &str) -> Result<EdgeList, String> {
-    let (kind, params) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad --gen spec '{spec}'"))?;
-    let nums = |sep: char| -> Result<Vec<usize>, String> {
-        params
-            .split(sep)
-            .map(|t| t.parse().map_err(|_| format!("bad number in '{spec}'")))
-            .collect()
-    };
-    match kind {
-        "grid" => {
-            let d = nums('x')?;
-            if d.len() != 2 {
-                return Err("grid needs WxH".into());
-            }
-            Ok(gen::grid2d(d[0], d[1]))
-        }
-        "er" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("er needs N,M".into());
-            }
-            Ok(gen::gnm(d[0], d[1], 42))
-        }
-        "rmat" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("rmat needs SCALE,EDGEFACTOR".into());
-            }
-            Ok(gen::rmat(gen::RmatParams::graph500(d[0] as u32, d[1]), 42))
-        }
-        "ba" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("ba needs N,M".into());
-            }
-            Ok(gen::barabasi_albert(d[0], d[1], 42))
-        }
-        "path" => Ok(gen::path(nums(',')?[0])),
-        "cycle" => Ok(gen::cycle(nums(',')?[0])),
-        other => Err(format!("unknown generator '{other}'")),
-    }
-}
-
 fn load(path: &str, format: Option<&str>) -> Result<EdgeList, String> {
     let fmt = match format {
         Some(f) => f.to_string(),
@@ -401,7 +356,7 @@ fn run(o: &Options, g: &CsrGraph, delta: f64) -> Result<SsspResult, Failure> {
             .map_err(sssp_failure)?;
         return Ok(result);
     }
-    // The six delta-stepping implementations go through the hardened
+    // The five delta-stepping implementations go through the hardened
     // front door: preflight validation, run budget (epoch limit plus the
     // --deadline-ms wall clock), panic degradation. Name parsing is the
     // shared sssp_core FromStr, so the CLI and bench accept identical
@@ -642,7 +597,7 @@ fn real_main() -> ExitCode {
         Err(msg) => return Failure::Usage(msg).report(),
     };
     let mut el = match (&o.generate, &o.input) {
-        (Some(spec), _) => match generate(spec) {
+        (Some(spec), _) => match gen::from_spec(spec) {
             Ok(el) => el,
             Err(e) => return Failure::Usage(format!("error: {e}")).report(),
         },

@@ -117,12 +117,12 @@ fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
             // on both resume paths.
             if cp.resumable {
                 let (seq, _) = engine
-                    .resume_fused(&cp, &mut RunBudget::unlimited())
+                    .resume_stepping(None, &cp, &mut RunBudget::unlimited())
                     .expect("resume must reconverge");
                 assert_eq!(bits(&seq.dist), bits(&reference.dist), "{} epoch {k}", imp.name());
                 assert_eq!(seq.stats, reference.stats, "{} epoch {k}", imp.name());
                 let (par, _) = engine
-                    .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
+                    .resume_stepping(Some(&pool), &cp, &mut RunBudget::unlimited())
                     .expect("resume must reconverge");
                 assert_eq!(bits(&par.dist), bits(&reference.dist), "{} epoch {k}", imp.name());
                 assert_eq!(par.stats, reference.stats, "{} epoch {k}", imp.name());
@@ -158,11 +158,7 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
     let cfg = GuardConfig::default(); // degrade_on_panic: true
-    for imp in [
-        Implementation::Parallel,
-        Implementation::ParallelImproved,
-        Implementation::ParallelAtomic,
-    ] {
+    for imp in [Implementation::Parallel, Implementation::ParallelImproved] {
         // Sweep the injection point across the first 24 spawned tasks;
         // beyond the run's task count the hook simply never fires.
         for j in 0..24 {
@@ -231,11 +227,8 @@ fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
             let mut engine = SsspEngine::new(&g);
             let cp = engine.load_checkpoint(&path).unwrap();
             let mut budget = RunBudget::unlimited().cancel_after(2);
-            let second = if parallel_resume {
-                engine.resume_parallel_improved(&pool, &cp, &mut budget)
-            } else {
-                engine.resume_fused(&cp, &mut budget)
-            };
+            let resume_pool = parallel_resume.then_some(&pool);
+            let second = engine.resume_stepping(resume_pool, &cp, &mut budget);
             let result = match second {
                 Ok((result, _)) => result,
                 Err(err) => {
@@ -245,12 +238,9 @@ fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
                     // and runs to completion.
                     let mut engine = SsspEngine::new(&g);
                     let cp = engine.load_checkpoint(&path).unwrap();
-                    let (result, _) = if parallel_resume {
-                        engine.resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-                    } else {
-                        engine.resume_fused(&cp, &mut RunBudget::unlimited())
-                    }
-                    .expect("final resume must reconverge");
+                    let (result, _) = engine
+                        .resume_stepping(resume_pool, &cp, &mut RunBudget::unlimited())
+                        .expect("final resume must reconverge");
                     result
                 }
             };

@@ -133,6 +133,10 @@ fn distinct_exit_codes_per_failure_class() {
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     let out = sssp(&["--gen", "path:4", "--impl", "warshall"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    // The retired atomic scheme's name is unknown like any other.
+    let out = sssp(&["--gen", "path:4", "--impl", "atomic"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("unknown --impl"));
 
     // 2: input errors (unreadable or malformed graph files).
     let out = sssp(&["/nonexistent/graph.mtx"]);
@@ -280,10 +284,10 @@ fn batch_mode_with_expired_deadline_exits_5_with_certified_partials() {
 }
 
 #[test]
-fn batch_mode_accepts_any_of_the_six_implementations() {
+fn batch_mode_accepts_every_guarded_implementation() {
     // Unlike the engine-only --sources path (fused/improved), batch mode
     // takes every guarded implementation through the shared name parser.
-    for imp in ["canonical", "gblas", "parallel", "atomic", "fused", "improved"] {
+    for imp in ["canonical", "gblas", "parallel", "fused", "improved"] {
         let out = sssp(&[
             "--gen",
             "grid:6x6",

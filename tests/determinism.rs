@@ -15,8 +15,8 @@ use sssp_core::result::SsspResult;
 use sssp_core::stats::PhaseProfile;
 use sssp_core::stepping::{stepping_resume_with, stepping_with, SteppingWorkspace};
 use sssp_core::{
-    fused, gblas_parallel, parallel, parallel_atomic, parallel_improved, run_with_budget,
-    Checkpoint, GuardConfig, Implementation, RunBudget, SsspError, SteppingStrategy, StopPoint,
+    fused, gblas_parallel, parallel, parallel_improved, run_with_budget, Checkpoint, GuardConfig,
+    Implementation, RunBudget, SsspError, SteppingStrategy, StopPoint,
 };
 use taskpool::ThreadPool;
 
@@ -57,9 +57,6 @@ fn check_graph(name: &str, g: &CsrGraph, src: usize, delta: f64) {
     });
     assert_stable("parallel-improved", name, |pool| {
         parallel_improved::delta_stepping_parallel_improved(pool, g, src, delta)
-    });
-    assert_stable("parallel-atomic", name, |pool| {
-        parallel_atomic::delta_stepping_parallel_atomic(pool, g, src, delta)
     });
     assert_stable("gblas-parallel", name, |pool| {
         gblas_parallel::delta_stepping_gblas_parallel(pool, g, src, delta)
@@ -127,14 +124,7 @@ fn front_door_covers_every_impl_name_deterministically() {
     // and give deterministic bits for each: this literal list is what
     // `sssp-analyze`'s impl-coverage lint pins against `run.rs`, so a
     // new Implementation variant cannot ship without being added here.
-    const NAMES: [&str; 6] = [
-        "canonical",
-        "fused",
-        "gblas",
-        "parallel",
-        "improved",
-        "improved-atomic",
-    ];
+    const NAMES: [&str; 5] = ["canonical", "fused", "gblas", "parallel", "improved"];
     // Unit weights: the gblas implementation rejects zero-weight edges.
     let d = paper_suite(SuiteScale::Smoke).remove(1);
     let g = &d.graph;
@@ -171,11 +161,11 @@ fn front_door_covers_every_impl_name_deterministically() {
 
 #[test]
 fn cancelled_then_resumed_runs_are_bit_identical() {
-    // Determinism must survive interruption: cancel each frontier-family
+    // Determinism must survive interruption: cancel each classic-loop
     // implementation at a seeded pseudo-random epoch, resume the
-    // checkpoint on both resume paths (sequential fused and parallel
-    // improved), and demand bit-identical distances AND stats versus the
-    // uninterrupted run — at every thread count.
+    // checkpoint without and with the pool, and demand bit-identical
+    // distances AND stats versus the uninterrupted run — at every thread
+    // count.
     let d = paper_suite(SuiteScale::Smoke).remove(1);
     let g = &d.graph;
     let delta = 1.0;
@@ -234,23 +224,12 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
                     )
                     .expect_err("cancel_after must stop the run"),
                 ),
-                (
-                    "atomic",
-                    parallel_atomic::delta_stepping_parallel_atomic_checked(
-                        &pool,
-                        g,
-                        src,
-                        delta,
-                        &mut RunBudget::unlimited().cancel_after(k),
-                    )
-                    .expect_err("cancel_after must stop the run"),
-                ),
             ];
             for (name, err) in cancelled {
                 let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
                 assert!(cp.resumable, "{name}: frontier family must be resumable");
                 let (seq, _) = engine
-                    .resume_fused(&cp, &mut RunBudget::unlimited())
+                    .resume_stepping(None, &cp, &mut RunBudget::unlimited())
                     .expect("resume must reconverge");
                 assert_eq!(
                     bits(&seq.dist),
@@ -262,7 +241,7 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
                     "{name} -> fused resume stats diverged at {threads} thread(s), trial {trial}, epoch {k}"
                 );
                 let (par, _) = engine
-                    .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
+                    .resume_stepping(Some(&pool), &cp, &mut RunBudget::unlimited())
                     .expect("resume must reconverge");
                 assert_eq!(
                     bits(&par.dist),
@@ -277,6 +256,37 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
         }
         // Every cancel/resume rode the one cached split.
         assert_eq!(engine.stats().split_builds, 1);
+    }
+}
+
+#[test]
+fn retired_atomic_checkpoints_still_load_and_resume_bit_identically() {
+    // GBSSCKP2 files written by the retired atomic implementation carry
+    // tag byte 5. Its loop state was classic-loop state, so such a file
+    // must still decode and resume exactly on the one resume path.
+    let d = paper_suite(SuiteScale::Smoke).remove(1);
+    let g = &d.graph;
+    let src = g.num_vertices() / 2;
+    let mut engine = SsspEngine::new(g);
+    let (full, _) = engine.run_fused(src, 1.0, &mut RunBudget::unlimited()).expect("valid input");
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    for k in [0, 3, 8] {
+        let err = engine
+            .run_fused(src, 1.0, &mut RunBudget::unlimited().cancel_after(k))
+            .expect_err("cancel_after must stop the run");
+        let mut cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
+        cp.implementation = "atomic";
+        let (loaded, fingerprint) =
+            Checkpoint::from_bytes(&cp.to_bytes(g.fingerprint())).expect("tag 5 decodes");
+        assert_eq!(fingerprint, g.fingerprint());
+        assert_eq!(loaded, cp);
+        for pool in [None, Some(&pool)] {
+            let (resumed, _) = engine
+                .resume_stepping(pool, &loaded, &mut RunBudget::unlimited())
+                .expect("atomic checkpoints resume");
+            assert_eq!(bits(&resumed.dist), bits(&full.dist), "epoch {k}");
+            assert_eq!(resumed.stats, full.stats, "epoch {k}");
+        }
     }
 }
 
@@ -317,16 +327,14 @@ fn resumables<'a>(
         Resumable {
             name: "fused",
             run: Box::new(move |b| fused::delta_stepping_fused_checked(g, 0, delta, b)),
-            resume: Box::new(move |cp, b| fused::delta_stepping_fused_resume(g, cp, b)),
+            resume: Box::new(move |cp, b| SsspEngine::new(g).resume_stepping(None, cp, b)),
         },
         Resumable {
             name: "improved",
             run: Box::new(move |b| {
                 parallel_improved::delta_stepping_parallel_improved_checked(pool, g, 0, delta, b)
             }),
-            resume: Box::new(move |cp, b| {
-                parallel_improved::delta_stepping_parallel_improved_resume(pool, g, cp, b)
-            }),
+            resume: Box::new(move |cp, b| SsspEngine::new(g).resume_stepping(Some(pool), cp, b)),
         },
     ];
     for (name, strategy) in [

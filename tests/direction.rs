@@ -254,12 +254,12 @@ fn cancellation_at_every_epoch_across_the_switch_boundary() {
         };
         cp.validate(g.num_vertices()).expect("checkpoint must validate");
         let (seq, _) = engine
-            .resume_fused(&cp, &mut RunBudget::unlimited())
+            .resume_stepping(None, &cp, &mut RunBudget::unlimited())
             .expect("resume must reconverge");
         assert_eq!(bits(&seq.dist), bits(&reference.dist), "fused resume, epoch {k}");
         assert_eq!(seq.stats, reference.stats, "fused resume stats, epoch {k}");
         let (par, _) = engine
-            .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
+            .resume_stepping(Some(&pool), &cp, &mut RunBudget::unlimited())
             .expect("resume must reconverge");
         assert_eq!(bits(&par.dist), bits(&reference.dist), "improved resume, epoch {k}");
         assert_eq!(par.stats, reference.stats, "improved resume stats, epoch {k}");

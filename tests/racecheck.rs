@@ -43,7 +43,8 @@ fn small_graph() -> CsrGraph {
 /// a negative fixture: a fully `Relaxed` CAS min. Under C11 this is not
 /// a data race, but it leaves sibling RMWs unordered — exactly the
 /// discipline violation the checker bans (and what the audit replaced
-/// with the acquire/release chain in `parallel_atomic::atomic_min_f64`).
+/// with the acquire/release chain of the retired atomic-request
+/// relaxation scheme, DESIGN.md §9).
 fn atomic_min_relaxed(cell: &AtomicU64, val: f64) {
     racecheck::atomic_rmw("fixture.req", cell as *const AtomicU64, SyncOrd::Relaxed);
     let mut cur = cell.load(Ordering::Relaxed);
