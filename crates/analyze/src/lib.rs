@@ -434,8 +434,8 @@ pub fn lint_atomics(files: &[SourceFile], allowlist_src: &str) -> Vec<Finding> {
 const HOT_PATH_SUPPRESSION: &str = "lint:allow(hot-path-lock)";
 
 /// Hot-path modules where a blocking lock is a design violation: the
-/// request-buffer relaxation core, the bucket ring and the fused loop,
-/// the parallel kernels, the generalized stepping loop, and the resident
+/// request-buffer relaxation core, the bucket ring and the light/heavy
+/// split, the parallel kernels, the stepping driver, and the resident
 /// service (whose locks must all be request-rate control state, never
 /// per-edge — each deliberate one carries its reason).
 pub fn is_hot_path(rel: &str) -> bool {
@@ -1549,13 +1549,13 @@ reason = "heuristic counter, never load-acquired"
         let oracle = sf("crates/gblas/src/direction.rs", "use std::sync::RwLock;\n");
         assert_eq!(lint_hot_path_locks(&oracle).len(), 1);
 
-        // The generalized stepping loop joined the ban with the
-        // strategy framework: its extraction scan is per-vertex work.
+        // The stepping driver runs every strategy's extraction and
+        // drain: per-vertex work.
         let stepping = sf("crates/core/src/stepping.rs", "use std::sync::Mutex;\n");
         assert_eq!(lint_hot_path_locks(&stepping).len(), 1);
 
-        // The bucket ring every bucket loop extracts from, and the fused
-        // loop around it, run once per relaxation too.
+        // The bucket ring every bucket loop extracts from, and the
+        // light/heavy split every relaxation reads, run per edge too.
         for rel in ["crates/core/src/buckets.rs", "crates/core/src/fused.rs"] {
             let hot = sf(rel, "use std::sync::Mutex;\n");
             assert_eq!(lint_hot_path_locks(&hot).len(), 1, "{rel}");

@@ -16,7 +16,7 @@
 //!   fine-grained filtering + chunked relaxation.
 //!
 //! On a real multi-core machine, [`run_wallclock`] measures the actual
-//! threaded implementations instead (also used by the Criterion bench).
+//! threaded implementations instead.
 
 use graphdata::{paper_suite, SuiteScale};
 use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};

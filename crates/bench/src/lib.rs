@@ -1,9 +1,9 @@
 //! # sssp-bench — the harness that regenerates every figure in the paper
 //!
-//! Each experiment lives in [`experiments`] and is driven both by a binary
+//! Each experiment lives in [`experiments`] and is driven by a binary
 //! (`fig3`, `fig4`, `datasets`, `delta_sweep`, `phase_profile`) that prints
-//! the paper-style table and writes machine-readable results, and by a
-//! Criterion bench for statistically careful timing.
+//! the paper-style table and writes machine-readable results; the `bench`
+//! binary times the tracked baseline behind `BENCH_sssp.json`.
 //!
 //! | experiment | paper artifact | binary |
 //! |---|---|---|

@@ -1,6 +1,5 @@
-//! Lightweight timing helpers for the table-emitting binaries (Criterion
-//! handles the statistically careful runs; these give quick, stable medians
-//! for the printed tables).
+//! Lightweight timing helpers for the table-emitting binaries: quick,
+//! stable medians for the printed tables.
 
 use std::time::{Duration, Instant};
 

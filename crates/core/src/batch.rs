@@ -73,7 +73,7 @@ pub struct BatchConfig {
     /// Frontier-extraction strategy for every job. `Classic` keeps the
     /// historical behavior (the bucket implementations selected by
     /// [`BatchConfig::implementation`]); ρ / Δ* route every job through
-    /// the generalized stepping loop — pooled when `implementation` is
+    /// the engine's stepping driver — pooled when `implementation` is
     /// parallel, sequential otherwise, bit-identical either way. The
     /// panic-retry ladder falls back to the *sequential* path of the
     /// same strategy, so a retried job still answers with the strategy
@@ -578,10 +578,14 @@ impl BatchRunner {
         }
     }
 
-    /// One attempt of `implementation`. The engine-cached paths serve
-    /// the frontier family the engine speaks (fused, improved); the
-    /// other implementations go through the checked front door with the
-    /// shared pool.
+    /// One attempt of `implementation`. The engine serves every run of
+    /// the stepping driver: generalized strategies, and the classic fused
+    /// and improved implementations. Generalized strategies bypass the
+    /// Implementation table — the driver is the implementation, pooled
+    /// or sequential by whether this attempt still has the pool (the
+    /// retry ladder passes `None`, landing on the bit-identical
+    /// sequential path of the *same* strategy). The other implementations
+    /// go through the checked front door with the shared pool.
     #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
@@ -592,35 +596,25 @@ impl BatchRunner {
         cfg: &GuardConfig,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, f64, Option<String>), SsspError> {
-        if self.cfg.strategy != SteppingStrategy::Classic {
-            // Generalized strategies bypass the Implementation table: the
-            // stepping loop is the implementation, pooled or sequential by
-            // whether this attempt still has the pool (the retry ladder
-            // passes `None`, landing on the bit-identical sequential path
-            // of the *same* strategy).
-            let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-            let pool = pool.filter(|_| implementation.is_parallel());
-            let (result, _) =
-                engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
-            return Ok((result, delta, None));
+        let pool = pool.filter(|_| implementation.is_parallel());
+        let on_engine = self.cfg.strategy != SteppingStrategy::Classic
+            || implementation == Implementation::Fused
+            || (implementation == Implementation::ParallelImproved && pool.is_some());
+        if !on_engine {
+            return run_with_budget(
+                implementation,
+                engine.graph(),
+                source,
+                self.cfg.delta,
+                pool,
+                cfg,
+                budget,
+            )
+            .map(|r| (r.result, r.delta, r.degraded));
         }
-        match implementation {
-            Implementation::Fused => {
-                let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-                let (result, _) = engine.run_fused(source, delta, budget)?;
-                Ok((result, delta, None))
-            }
-            Implementation::ParallelImproved if pool.is_some() => {
-                let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-                let pool = pool.expect("guarded by the match arm");
-                let (result, _) = engine.run_parallel_improved(pool, source, delta, budget)?;
-                Ok((result, delta, None))
-            }
-            other => {
-                run_with_budget(other, engine.graph(), source, self.cfg.delta, pool, cfg, budget)
-                    .map(|r| (r.result, r.delta, r.degraded))
-            }
-        }
+        let delta = engine.preflight(source, self.cfg.delta, cfg)?;
+        let (result, _) = engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
+        Ok((result, delta, None))
     }
 
     /// Continue a persisted checkpoint, with the same one-retry panic
@@ -635,10 +629,9 @@ impl BatchRunner {
     ) -> BatchOutcome {
         let g = engine.graph();
         let mut budget = self.job_budget(g);
-        // `resume_stepping` routes by the checkpoint itself: a stepping
-        // checkpoint re-enters the generalized loop, a classic one the
-        // bucket loop — so mixed directories (a strategy
-        // change between batches) resume every file correctly.
+        // `resume_stepping` takes the strategy from the checkpoint
+        // itself, so mixed directories (a strategy change between
+        // batches) resume every file correctly.
         let pool = pool.filter(|_| self.cfg.implementation.is_parallel());
         let first =
             catch_unwind(AssertUnwindSafe(|| engine.resume_stepping(pool, cp, &mut budget)));

@@ -8,8 +8,8 @@
 //! [`BucketRing`] instead keeps the buckets current at relaxation time,
 //! as Meyer–Sanders' own formulation does, so extraction costs
 //! O(frontier) and both bucket-based loops (`canonical`, and the
-//! classic loop in `fused` that `parallel` and `parallel_improved` run
-//! on) share it. Only
+//! classic extraction of the stepping driver that `fused`, `parallel`
+//! and `parallel_improved` run on) share it. Only
 //! the paper's Fig. 2 GraphBLAS transcription and the Fig. 4 cost model
 //! keep the whole-vector scan.
 //!

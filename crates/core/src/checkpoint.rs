@@ -10,15 +10,18 @@
 //! records that bound, turning a partial run into a certified partial
 //! answer.
 //!
-//! For the implementations built on the classic loop
-//! (`fused::classic_loop`: fused, parallel, improved) and the
-//! generalized stepping loop, the checkpoint additionally captures the
-//! exact loop state (current bucket or range, pending frontier, settled
-//! set of the current bucket, counters), so
+//! For every run of the one stepping driver ([`crate::stepping`]: the
+//! fused, parallel and improved implementations, which are its classic
+//! strategy, and ρ/Δ*), the checkpoint additionally captures the exact
+//! loop state (current bucket or range, pending frontier, settled set of
+//! the current bucket or range, counters), so
 //! [`crate::engine::SsspEngine::resume_stepping`] — the one resume path,
 //! with or without a pool — can continue the run and land on
-//! **bit-identical distances and stats** versus an uninterrupted run. The canonical and GraphBLAS
-//! implementations emit distance-only checkpoints (`resumable == false`):
+//! **bit-identical distances and stats** versus an uninterrupted run.
+//! Classic runs carry their implementation tag and no stepping section;
+//! ρ/Δ* runs carry the `stepping` tag and a [`SteppingState`]. The
+//! canonical and GraphBLAS implementations emit distance-only
+//! checkpoints (`resumable == false`):
 //! their internal state (bucket queue, masked GraphBLAS vectors) does not
 //! map onto the frontier loop, so a resume could reproduce the distances
 //! but not their exact counter provenance.
@@ -26,6 +29,7 @@
 use graphdata::io::bytes::ByteReader;
 
 use crate::budget::BudgetStop;
+use crate::delta::bucket_of;
 use crate::guard::SsspError;
 use crate::stats::SsspStats;
 use crate::stepping::SteppingStrategy;
@@ -84,6 +88,10 @@ pub struct SteppingState {
 ///   ([`SteppingState::bound`]) for generalized stepping checkpoints;
 /// * when `stop_point == StopPoint::BucketStart`, `frontier` and
 ///   `settled` are empty;
+/// * when `stop_point == StopPoint::LightPhase`, every `frontier` and
+///   `settled` vertex lies in the current bucket (`bucket_of(dist[v]) ==
+///   bucket`) or, for stepping checkpoints, in the open range
+///   `[bound, threshold)`;
 /// * when `resumable`, replaying the frontier loop from this state is
 ///   bit-identical (distances *and* [`SsspStats`]) to the uninterrupted
 ///   run.
@@ -111,7 +119,7 @@ pub struct Checkpoint {
     /// [`StopPoint::BucketStart`]).
     pub settled: Vec<usize>,
     /// Whether the frontier loop can be resumed bit-identically from this
-    /// checkpoint (true for the classic and stepping loops).
+    /// checkpoint (true for every run of the stepping driver).
     pub resumable: bool,
     /// Generalized-stepping loop state; `None` for the classic bucket
     /// implementations.
@@ -196,6 +204,18 @@ impl Checkpoint {
             }
             if st.threshold.is_nan() || st.threshold < st.bound {
                 return fail("stepping threshold must be at least the bound");
+            }
+        }
+        if self.stop_point == StopPoint::LightPhase {
+            let in_range = |v: usize| {
+                let d = self.dist[v];
+                match &self.stepping {
+                    None => bucket_of(d, self.delta) == self.bucket,
+                    Some(st) => st.bound <= d && d < st.threshold,
+                }
+            };
+            if !self.frontier.iter().chain(self.settled.iter()).all(|&v| in_range(v)) {
+                return fail("light-phase frontier/settled vertex lies outside its bucket or range");
             }
         }
         Ok(())
@@ -594,9 +614,11 @@ mod tests {
             relaxations: 41,
             improvements: 17,
         };
+        // A light-phase stop inside bucket 2 = [1.0, 1.5).
+        cp.dist = vec![0.0, 1.2, 1.1, INF];
         cp.stop_point = StopPoint::LightPhase;
-        cp.frontier = vec![1, 3];
-        cp.settled = vec![0];
+        cp.frontier = vec![1];
+        cp.settled = vec![2];
         let bytes = cp.to_bytes(0xdead_beef_cafe_f00d);
         let (back, fp) = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(fp, 0xdead_beef_cafe_f00d);
@@ -616,9 +638,11 @@ mod tests {
     #[test]
     fn stepping_state_round_trips_and_owns_the_settled_bound() {
         let mut cp = stepping_sample();
+        // Frontier and settled vertices lie in the open range [0.5, 2.5).
+        cp.dist[3] = 0.9;
         cp.stop_point = StopPoint::LightPhase;
         cp.frontier = vec![2];
-        cp.settled = vec![0, 1];
+        cp.settled = vec![3];
         cp.stepping = Some(SteppingState {
             strategy: SteppingStrategy::DeltaStar(4.0),
             bound: 0.5,
@@ -640,6 +664,37 @@ mod tests {
         });
         let (back, _) = Checkpoint::from_bytes(&rho.to_bytes(1)).unwrap();
         assert_eq!(back, rho);
+    }
+
+    #[test]
+    fn validate_rejects_light_phase_vertices_outside_the_bucket_or_range() {
+        // Classic: bucket 2 = [1.0, 1.5) holds only vertex 2.
+        let mut cp = sample();
+        cp.stop_point = StopPoint::LightPhase;
+        cp.frontier = vec![2];
+        assert!(cp.validate(4).is_ok());
+        for (frontier, settled) in [(vec![0], vec![]), (vec![2], vec![3]), (vec![2], vec![1])] {
+            let mut bad = cp.clone();
+            bad.frontier = frontier;
+            bad.settled = settled;
+            assert!(bad.validate(4).is_err(), "{:?} / {:?}", bad.frontier, bad.settled);
+        }
+        // A bucket no distance falls in rejects even the source.
+        let mut bad = cp.clone();
+        bad.bucket = usize::MAX;
+        bad.frontier = vec![0];
+        assert!(bad.validate(4).is_err());
+        // Stepping: the open range [1.0, 1.2) holds only vertex 2.
+        let mut st = stepping_sample();
+        st.stop_point = StopPoint::LightPhase;
+        st.stepping.as_mut().unwrap().threshold = 1.2;
+        st.frontier = vec![2];
+        assert!(st.validate(4).is_ok());
+        for v in [0, 1, 3] {
+            let mut bad = st.clone();
+            bad.settled = vec![v];
+            assert!(bad.validate(4).is_err(), "vertex {v}");
+        }
     }
 
     #[test]

@@ -5,9 +5,13 @@
 //! at 35–40 % of total runtime. A single query cannot avoid that cost, but
 //! multi-source workloads (bench loops, all-pairs sampling, the CLI's
 //! `--sources` mode) re-split the *same* matrix at the *same* Δ on every
-//! call. [`SsspEngine`] builds each split once; the per-run workspaces
-//! ([`ClassicWorkspace`] for the bucket loop, [`SteppingWorkspace`] for
-//! ρ/Δ*) ride along so repeated runs allocate nothing after the first.
+//! call. [`SsspEngine`] builds each split once; one `SteppingWorkspace`
+//! rides along so repeated runs allocate nothing after the first,
+//! whatever the strategy.
+//!
+//! Every run goes through one path into the stepping driver
+//! ([`crate::stepping`]): [`SsspEngine::run_stepping`] starts a run,
+//! [`SsspEngine::resume_stepping`] continues a checkpoint.
 //!
 //! Splits live in a shared [`SplitCache`] keyed by
 //! `(graph fingerprint, Δ.to_bits())`: an engine created with
@@ -33,15 +37,13 @@ use taskpool::ThreadPool;
 
 use crate::budget::RunBudget;
 use crate::checkpoint::Checkpoint;
-use crate::fused::{classic_loop, ClassicWorkspace, LightHeavy};
+use crate::fused::LightHeavy;
 use crate::guard::{self, GuardConfig, SsspError};
 use crate::parallel_improved::split_light_heavy_chunked;
 use crate::result::SsspResult;
 use crate::split_cache::SplitCache;
 use crate::stats::PhaseProfile;
-use crate::stepping::{
-    stepping_resume_with, stepping_with, SteppingStrategy, SteppingWorkspace,
-};
+use crate::stepping::{check_run, stepping_loop, SteppingStrategy, SteppingWorkspace};
 
 /// Cache effectiveness counters, exposed for tests and bench reporting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +89,7 @@ pub struct SsspEngine<'g> {
     /// steady state costs no lock. Workloads use a handful of Δ values at
     /// most, so a linear scan beats a hash map here.
     local: Vec<(u64, Arc<LightHeavy>)>,
-    classic_ws: ClassicWorkspace,
-    stepping_ws: SteppingWorkspace,
+    ws: SteppingWorkspace,
     /// Cached verdict of the `O(|V| + |E|)` weight scan. The engine
     /// borrows the graph immutably for its whole lifetime, so the verdict
     /// can never go stale.
@@ -114,8 +115,7 @@ impl<'g> SsspEngine<'g> {
             fingerprint: g.fingerprint(),
             cache,
             local: Vec::new(),
-            classic_ws: ClassicWorkspace::new(n),
-            stepping_ws: SteppingWorkspace::new(n),
+            ws: SteppingWorkspace::new(n),
             weights_verdict: None,
             stats: EngineStats::default(),
         }
@@ -157,9 +157,7 @@ impl<'g> SsspEngine<'g> {
     /// invariant no longer holds, and a fresh allocation is the cheap way
     /// to restore it. Cached splits are immutable once built and survive.
     pub fn reset_workspaces(&mut self) {
-        let n = self.g.num_vertices();
-        self.classic_ws = ClassicWorkspace::new(n);
-        self.stepping_ws = SteppingWorkspace::new(n);
+        self.ws = SteppingWorkspace::new(self.g.num_vertices());
     }
 
     /// [`guard::preflight`] with the weight scan cached: the first call
@@ -216,22 +214,19 @@ impl<'g> SsspEngine<'g> {
         (lh, filter)
     }
 
-    /// Sequential fused delta-stepping through the cache. Bit-identical to
-    /// [`crate::fused::delta_stepping_fused_checked`]; the profile's
-    /// `matrix_filter` is zero whenever the split was already cached.
+    /// Sequential fused delta-stepping through the cache:
+    /// [`SsspEngine::run_stepping`] with the classic strategy and no pool.
     pub fn run_fused(
         &mut self,
         source: usize,
         delta: f64,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        self.run_classic(None, source, delta, budget)
+        self.run_stepping(None, source, delta, SteppingStrategy::Classic, budget)
     }
 
-    /// Parallel request-buffer delta-stepping through the cache.
-    /// Bit-identical to
-    /// [`crate::parallel_improved::delta_stepping_parallel_improved_checked`];
-    /// the split is built in parallel on a miss and free on a hit.
+    /// Parallel request-buffer delta-stepping through the cache:
+    /// [`SsspEngine::run_stepping`] with the classic strategy on `pool`.
     pub fn run_parallel_improved(
         &mut self,
         pool: &ThreadPool,
@@ -239,44 +234,17 @@ impl<'g> SsspEngine<'g> {
         delta: f64,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        self.run_classic(Some(pool), source, delta, budget)
+        self.run_stepping(Some(pool), source, delta, SteppingStrategy::Classic, budget)
     }
 
-    /// The classic loop through the cache: fused without a pool,
-    /// improved with one.
-    fn run_classic(
-        &mut self,
-        pool: Option<&ThreadPool>,
-        source: usize,
-        delta: f64,
-        budget: &mut RunBudget,
-    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        if !(delta > 0.0 && delta.is_finite()) {
-            return Err(SsspError::InvalidDelta { delta });
-        }
-        let (lh, filter) = self.split_for(pool, delta);
-        let (result, mut profile) = classic_loop(
-            pool,
-            classic_tag(pool),
-            self.g,
-            &lh,
-            source,
-            delta,
-            budget,
-            &mut self.classic_ws,
-            None,
-        )?;
-        profile.matrix_filter += filter;
-        Ok((result, profile))
-    }
-
-    /// Run under any [`SteppingStrategy`] through the cache. `Classic`
-    /// runs the bucket loop ([`SsspEngine::run_fused`] sequentially,
-    /// [`SsspEngine::run_parallel_improved`] with a pool) — it *is* the
-    /// classic strategy; ρ and Δ* go through the generalized loop,
-    /// sequentially or pooled by whether `pool` is given. Distances and
-    /// stats are bit-identical across thread counts and the pool-less
-    /// path for every strategy.
+    /// Run under any [`SteppingStrategy`] through the cache, sequentially
+    /// or pooled by whether `pool` is given; on a split-cache miss the
+    /// split is built in parallel when a pool is given. Classic runs are
+    /// bit-identical to [`crate::fused::delta_stepping_fused_checked`]
+    /// and [`crate::parallel_improved::delta_stepping_parallel_improved_checked`],
+    /// and distances and stats are bit-identical across thread counts and
+    /// the pool-less path for every strategy. The profile's
+    /// `matrix_filter` is zero whenever the split was already cached.
     pub fn run_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -285,35 +253,16 @@ impl<'g> SsspEngine<'g> {
         strategy: SteppingStrategy,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        strategy.validate()?;
-        if strategy == SteppingStrategy::Classic {
-            return self.run_classic(pool, source, delta, budget);
-        }
-        if !(delta > 0.0 && delta.is_finite()) {
-            return Err(SsspError::InvalidDelta { delta });
-        }
-        let (lh, filter) = self.split_for(pool, delta);
-        let (result, mut profile) = stepping_with(
-            self.g,
-            &lh,
-            source,
-            delta,
-            strategy,
-            pool,
-            budget,
-            &mut self.stepping_ws,
-        )?;
-        profile.matrix_filter += filter;
-        Ok((result, profile))
+        check_run(self.g.num_vertices(), source, delta, strategy)?;
+        self.drive(pool, source, delta, strategy, budget, None)
     }
 
     /// Resume an interrupted run of any implementation — the one resume
-    /// path. Generalized-stepping checkpoints (carrying a
-    /// [`crate::checkpoint::SteppingState`]) re-enter the stepping loop;
-    /// classic bucket checkpoints (fused, parallel, improved, and the
-    /// retired `atomic` tag) re-enter the classic loop, sequentially or
-    /// pooled by whether `pool` is given. Bit-identical to the
-    /// uninterrupted run.
+    /// path. The strategy comes from the checkpoint (classic when it
+    /// carries no [`crate::checkpoint::SteppingState`], which covers the
+    /// fused, parallel, improved and retired `atomic` tags); the run
+    /// continues sequentially or pooled by whether `pool` is given and is
+    /// bit-identical to the uninterrupted run.
     pub fn resume_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -321,21 +270,30 @@ impl<'g> SsspEngine<'g> {
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         cp.validate(self.g.num_vertices())?;
-        let (lh, filter) = self.split_for(pool, cp.delta);
-        let (result, mut profile) = match cp.stepping {
-            Some(_) => stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.stepping_ws),
-            None => classic_loop(
-                pool,
-                classic_tag(pool),
-                self.g,
-                &lh,
-                cp.source,
-                cp.delta,
-                budget,
-                &mut self.classic_ws,
-                Some(cp),
-            ),
-        }?;
+        let strategy = cp.stepping.map_or(SteppingStrategy::Classic, |st| st.strategy);
+        self.drive(pool, cp.source, cp.delta, strategy, budget, Some(cp))
+    }
+
+    /// Fetch the split and run the driver, tagging checkpoints `fused`
+    /// or `improved` (classic, without or with a pool) or `stepping`.
+    fn drive(
+        &mut self,
+        pool: Option<&ThreadPool>,
+        source: usize,
+        delta: f64,
+        strategy: SteppingStrategy,
+        budget: &mut RunBudget,
+        resume: Option<&Checkpoint>,
+    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
+        let tag = match (strategy, pool) {
+            (SteppingStrategy::Classic, None) => "fused",
+            (SteppingStrategy::Classic, Some(_)) => "improved",
+            _ => "stepping",
+        };
+        let (lh, filter) = self.split_for(pool, delta);
+        let (result, mut profile) = stepping_loop(
+            pool, tag, self.g, &lh, source, delta, strategy, budget, &mut self.ws, resume,
+        )?;
         profile.matrix_filter += filter;
         Ok((result, profile))
     }
@@ -376,16 +334,6 @@ impl<'g> SsspEngine<'g> {
         }
         cp.validate(self.g.num_vertices())?;
         Ok(cp)
-    }
-}
-
-/// The checkpoint tag of an engine classic run: `"fused"` without a
-/// pool, `"improved"` with one.
-fn classic_tag(pool: Option<&ThreadPool>) -> &'static str {
-    if pool.is_some() {
-        "improved"
-    } else {
-        "fused"
     }
 }
 
@@ -621,8 +569,7 @@ mod tests {
         engine.save_checkpoint(&cp, &path).unwrap();
         let loaded = engine.load_checkpoint(&path).unwrap();
         assert_eq!(loaded, cp);
-        // The router sends stepping checkpoints to the generalized loop
-        // and classic ones to the bucket loop.
+        // The strategy comes from the checkpoint: ρ here, classic below.
         let (resumed, _) = engine
             .resume_stepping(None, &loaded, &mut RunBudget::unlimited())
             .unwrap();

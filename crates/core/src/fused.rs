@@ -17,31 +17,28 @@
 //! Unlike the GraphBLAS version, state lives in dense arrays (`Vec<f64>`,
 //! `Vec<bool>`) exactly like the paper's direct C implementation.
 //!
-//! The loop itself, `classic_loop`, is the one classic Δ-stepping loop
-//! of the crate: the paper's task-parallel scheme ([`crate::parallel`])
-//! and its proposed improvement ([`crate::parallel_improved`]) differ
-//! from the fused code only in how they build the split and which
-//! relaxation back end they hand the loop, so they are thin wrappers
-//! around it. Budget checks, checkpoint emission at both stop points,
-//! and mid-bucket resume live only here; resuming goes through
-//! [`crate::engine::SsspEngine::resume_stepping`].
+//! The loop itself is the classic strategy of the one stepping driver
+//! ([`crate::stepping`]): the paper's task-parallel scheme
+//! ([`crate::parallel`]) and its proposed improvement
+//! ([`crate::parallel_improved`]) differ from the fused code only in how
+//! they build the split and which relaxation back end they hand the
+//! driver, so all three are thin wrappers over [`run_split`]. Budget
+//! checks, checkpoints and resume live in the driver; resuming goes
+//! through [`crate::engine::SsspEngine::resume_stepping`]. This module
+//! keeps the split itself, [`LightHeavy`], which every relaxation reads.
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
-use crate::buckets::BucketRing;
 use crate::budget::RunBudget;
-use crate::checkpoint::{Checkpoint, LiveState, StopPoint};
 use crate::guard::SsspError;
 use crate::pull::PullIndex;
-use crate::reqbuf::{self, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
-use crate::INF;
+use crate::stepping::{stepping_loop, SteppingStrategy, SteppingWorkspace};
 
 /// The light/heavy split in CSR form — built in a single fused pass over
 /// the adjacency (vs. the four `GrB_apply` calls of Fig. 2).
@@ -166,41 +163,6 @@ impl LightHeavy {
     }
 }
 
-/// Reusable per-run state of the classic loop: the relaxation workspace
-/// (dense request accumulator plus per-task buffers), the bucket ring,
-/// and the frontier/settled scratch. Callers that run many queries (the
-/// engine, bench loops) keep one of these so repeated runs allocate
-/// nothing, pooled or not.
-#[derive(Debug, Default)]
-pub struct ClassicWorkspace {
-    relax: RelaxWorkspace,
-    frontier: Vec<usize>,
-    settled: Vec<usize>,
-    /// Frontier bitmap for dense (pull) epochs — all-`false` between
-    /// phases, set and cleared by iterating the (sparse) frontier.
-    in_frontier: Vec<bool>,
-    ring: BucketRing,
-}
-
-impl ClassicWorkspace {
-    /// Workspace sized for an `n`-vertex graph.
-    pub fn new(n: usize) -> Self {
-        ClassicWorkspace {
-            relax: RelaxWorkspace::new(n),
-            in_frontier: vec![false; n],
-            ..ClassicWorkspace::default()
-        }
-    }
-
-    /// Grow (never shrink) to fit an `n`-vertex graph.
-    pub fn ensure(&mut self, n: usize) {
-        self.relax.ensure(n);
-        if self.in_frontier.len() < n {
-            self.in_frontier.resize(n, false);
-        }
-    }
-}
-
 /// Fused delta-stepping. Equivalent to [`crate::gblas_impl::sssp_delta_step`]
 /// but with dense state and fused loops.
 pub fn delta_stepping_fused(g: &CsrGraph, source: usize, delta: f64) -> SsspResult {
@@ -235,8 +197,10 @@ pub fn delta_stepping_fused_checked(
 }
 
 /// Build a split with `split` — timed as the profile's `matrix_filter` —
-/// and run [`classic_loop`] over it with a fresh workspace: the body of
-/// every one-shot `*_checked` classic entry point.
+/// and run the classic strategy of the stepping driver over it with a
+/// fresh workspace: the body of every one-shot `*_checked` classic entry
+/// point. `pool` picks the relaxation back end and `tag` names the
+/// implementation in the checkpoints the run emits.
 pub(crate) fn run_split(
     pool: Option<&ThreadPool>,
     tag: &'static str,
@@ -249,224 +213,20 @@ pub(crate) fn run_split(
     let t0 = Instant::now();
     let lh = split();
     let filter_time = t0.elapsed();
-    let mut ws = ClassicWorkspace::new(g.num_vertices());
-    let (result, mut profile) =
-        classic_loop(pool, tag, g, &lh, source, delta, budget, &mut ws, None)?;
+    let mut ws = SteppingWorkspace::new(g.num_vertices());
+    let (result, mut profile) = stepping_loop(
+        pool,
+        tag,
+        g,
+        &lh,
+        source,
+        delta,
+        SteppingStrategy::Classic,
+        budget,
+        &mut ws,
+        None,
+    )?;
     profile.matrix_filter += filter_time;
-    Ok((result, profile))
-}
-
-/// The classic Δ-stepping loop over a **prebuilt** light/heavy split and
-/// a caller-owned workspace, optionally continuing from a checkpoint
-/// instead of starting at the source's bucket. Every bucket
-/// implementation is this loop: `pool` picks the relaxation back end and
-/// `tag` names the implementation in the checkpoints it emits.
-///
-/// * `None` relaxes with the sequential scatter
-///   ([`crate::reqbuf::relax_sequential`]) and, on dense epochs, the
-///   sequential pull pass — the paper's fused code (Fig. 3) and, behind
-///   its two-task split, the task-parallel scheme (Fig. 4).
-/// * `Some(pool)` relaxes through the per-task request buffers
-///   ([`crate::reqbuf::relax_buffered`]) and the pooled pull pass — the
-///   improvement the paper proposes in Sec. VI-C.
-///
-/// Both back ends fold the same candidates with an exact min, so
-/// distances and [`crate::SsspStats`] are bit-identical across them and
-/// across thread counts, and a checkpoint cut by either resumes on
-/// either. The returned profile contains no `matrix_filter` time (the
-/// caller decides whether a cached split costs anything).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn classic_loop(
-    pool: Option<&ThreadPool>,
-    tag: &'static str,
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-    ws: &mut ClassicWorkspace,
-    resume: Option<&Checkpoint>,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    let n = g.num_vertices();
-    if source >= n {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: n,
-        });
-    }
-    let mut result = SsspResult::init(n, source);
-    let mut profile = PhaseProfile::default();
-
-    ws.ensure(n);
-    let ClassicWorkspace {
-        relax,
-        frontier,
-        settled,
-        in_frontier,
-        ring,
-    } = ws;
-    frontier.clear();
-    settled.clear();
-
-    let mut i = 0; // the source's bucket
-    // Continuing mid-bucket re-enters the light-phase loop with the saved
-    // frontier/settled sets, skipping the outer boundary work (budget
-    // check, bucket take, buckets_processed) that already happened before
-    // the interruption.
-    let mut entering_mid = false;
-    match resume {
-        Some(cp) => {
-            if !cp.resumable {
-                return Err(SsspError::InvalidCheckpoint {
-                    reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
-                });
-            }
-            result.dist.clone_from(&cp.dist);
-            result.stats = cp.stats.clone();
-            i = cp.bucket;
-            frontier.extend_from_slice(&cp.frontier);
-            settled.extend_from_slice(&cp.settled);
-            entering_mid = cp.stop_point == StopPoint::LightPhase;
-            ring.resume(&cp.dist, delta, i, !entering_mid);
-        }
-        None => ring.start(n, delta, source),
-    }
-
-    let t = &mut result.dist;
-
-    loop {
-        if entering_mid {
-            entering_mid = false;
-        } else {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: tag,
-                    source,
-                    delta,
-                    dist: t,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::BucketStart,
-                    frontier: &[],
-                    settled: &[],
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            // Vector phase: take the members of bucket i from the ring, or
-            // learn the next non-empty bucket if i is empty.
-            let t0 = Instant::now();
-            let next = ring.take(i, frontier);
-            profile.vector_ops += t0.elapsed();
-            match next {
-                None => break, // no vertex at distance >= i*delta: done
-                Some(b) if b != i => {
-                    i = b;
-                    continue;
-                }
-                Some(_) => {}
-            }
-
-            result.stats.buckets_processed += 1;
-            settled.clear();
-        }
-
-        // Light-edge phases until the bucket stops refilling.
-        while !frontier.is_empty() {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: tag,
-                    source,
-                    delta,
-                    dist: t,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier,
-                    settled,
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            result.stats.light_phases += 1;
-            // Fusion 1: t_Req = A_L^T (t ∘ t_Bi). Sparse frontiers scatter
-            // their light edges; dense ones (per the shared density
-            // oracle) pull the light in-edges against a frontier bitmap
-            // instead — the request vector is bit-identical either way
-            // (see [`crate::pull`]), only the traversal order changes.
-            let t0 = Instant::now();
-            let frontier_edges: usize = frontier
-                .iter()
-                .map(|&v| lh.light_off[v + 1] - lh.light_off[v])
-                .sum();
-            if direction::choose(frontier_edges, lh.num_light()) == Direction::Pull {
-                let mut lower = INF;
-                for &v in frontier.iter() {
-                    in_frontier[v] = true;
-                    if t[v] < lower {
-                        lower = t[v];
-                    }
-                }
-                relax.pull_light(pool, lh.pull_index(), t, in_frontier, lower);
-                for &v in frontier.iter() {
-                    in_frontier[v] = false;
-                }
-                // Push counts one relaxation per frontier light edge;
-                // the pull pass covers exactly that edge set.
-                result.stats.relaxations += frontier_edges as u64;
-            } else {
-                reqbuf::relax(
-                    pool,
-                    lh,
-                    t,
-                    frontier,
-                    true,
-                    relax,
-                    &mut result.stats.relaxations,
-                );
-            }
-            profile.relaxation += t0.elapsed();
-
-            // Fusion 2: S ∪= frontier; t = min(t, t_Req); t_Bi =
-            // reintroduced vertices — one pass over the touched set.
-            let t0 = Instant::now();
-            settled.extend_from_slice(frontier);
-            frontier.clear();
-            let improvements = &mut result.stats.improvements;
-            relax.drain_requests(|u, cand| {
-                ring.merge(t, u, cand, improvements, frontier);
-            });
-            profile.vector_ops += t0.elapsed();
-        }
-
-        // Heavy phase over everything settled from bucket i.
-        result.stats.heavy_phases += 1;
-        let t0 = Instant::now();
-        reqbuf::relax(
-            pool,
-            lh,
-            t,
-            settled,
-            false,
-            relax,
-            &mut result.stats.relaxations,
-        );
-        profile.relaxation += t0.elapsed();
-
-        let t0 = Instant::now();
-        let improvements = &mut result.stats.improvements;
-        relax.drain_requests(|u, cand| {
-            ring.merge(t, u, cand, improvements, frontier);
-        });
-        profile.vector_ops += t0.elapsed();
-
-        i += 1;
-    }
     Ok((result, profile))
 }
 
@@ -625,52 +385,6 @@ mod tests {
                 "cancelled at epoch {k}"
             );
             assert_eq!(resumed.stats, full.stats, "cancelled at epoch {k}");
-        }
-    }
-
-    /// A weighted grid whose heavy edges leave empty buckets between the
-    /// occupied ones at Δ = 0.5, so runs jump bucket gaps (the same graph
-    /// `tests/determinism.rs` pins budget ticks on).
-    fn bucket_skip_grid() -> CsrGraph {
-        let mut el = grid2d(12, 12);
-        graphdata::weights::assign_symmetric(
-            &mut el,
-            graphdata::WeightModel::UniformFloat { lo: 0.05, hi: 4.0 },
-            7,
-        );
-        CsrGraph::from_edge_list(&el).unwrap()
-    }
-
-    /// Extraction work scales with the frontier, not with |V| × buckets:
-    /// every ring entry comes from an improvement (or the source) and is
-    /// visited once.
-    #[test]
-    fn extraction_visits_at_most_one_entry_per_improvement() {
-        for (g, delta) in [
-            (CsrGraph::from_edge_list(&path(100_000)).unwrap(), 1.0),
-            (bucket_skip_grid(), 0.5),
-        ] {
-            let lh = LightHeavy::build(&g, delta);
-            let mut ws = ClassicWorkspace::new(g.num_vertices());
-            let (r, _) = classic_loop(
-                None,
-                "fused",
-                &g,
-                &lh,
-                0,
-                delta,
-                &mut RunBudget::unlimited(),
-                &mut ws,
-                None,
-            )
-            .unwrap();
-            assert_eq!(r.dist, dijkstra(&g, 0).dist);
-            assert!(
-                ws.ring.visited() <= r.stats.improvements + 1,
-                "{} entries visited for {} improvements",
-                ws.ring.visited(),
-                r.stats.improvements
-            );
         }
     }
 

@@ -8,10 +8,10 @@
 //! |---|---|
 //! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) — the [`buckets`] ring every bucket loop shares |
 //! | [`gblas_impl`] | the **unfused GraphBLAS** implementation (Fig. 2, call-for-call) |
-//! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) — and the one classic bucket loop the next two rows share |
-//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks, then the pool-less classic loop; its chunked vector scans are costed in [`parallel_sim`]) |
-//! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering, then the classic loop on contention-free request-buffer relaxation ([`reqbuf`]) |
-//! | [`stepping`] | ρ- and Δ*-stepping (Dong–Gu–Sun–Zhang) behind one extraction loop |
+//! | [`stepping`] | the **one stepping driver**: classic Δ (bucket ring), ρ- and Δ*-stepping (Dong–Gu–Sun–Zhang) as one extract → drain → advance loop, pooled or not; the fused, parallel and improved rows run its classic strategy |
+//! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates): the light/heavy split plus the pool-less classic driver |
+//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks, then the pool-less classic driver; its chunked vector scans are costed in [`parallel_sim`]) |
+//! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering, then the classic driver on contention-free request-buffer relaxation ([`reqbuf`]) |
 //! | [`dijkstra`], [`bellman_ford`] | classic baselines |
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],

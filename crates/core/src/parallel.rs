@@ -14,7 +14,8 @@
 //!   ("parallelizing within the matrix-vector operations … would improve
 //!   performance and scalability" is future work there, and is implemented
 //!   here in [`crate::parallel_improved`]): after the split, the run is
-//!   the pool-less `fused::classic_loop`.
+//!   the pool-less classic strategy of the stepping driver
+//!   ([`crate::stepping`]).
 
 use graphdata::CsrGraph;
 use taskpool::{join, ThreadPool};
@@ -81,9 +82,8 @@ pub fn delta_stepping_parallel(
 /// epoch budget instead of looping forever on malformed weight data, and
 /// observes cancellation/deadlines at every epoch boundary, emitting a
 /// resumable checkpoint tagged `"parallel"`. The split is the paper's
-/// two tasks; the bucket loop is the pool-less
-/// `fused::classic_loop`, so its checkpoints resume on either
-/// back end.
+/// two tasks; the bucket loop is the pool-less classic stepping driver,
+/// so its checkpoints resume on either back end.
 /// Worker panics still propagate; wrap the call in
 /// [`taskpool::install_try`] (as [`crate::run::run_checked`] does) to
 /// convert them into errors.

@@ -13,15 +13,16 @@
 //!   locked touched-list collection (that earlier design, and why it was
 //!   retired, is recorded in DESIGN.md §9).
 //!
-//! The bucket loop is the shared `fused::classic_loop` with the
-//! pool as its relaxation back end, so results are bit-identical to the
-//! sequential fused implementation and across thread counts: the merge
-//! computes the same minima whatever the chunking.
+//! The run is the classic strategy of the one stepping driver
+//! ([`crate::stepping`]) with the pool as its relaxation back end, so
+//! results are bit-identical to the sequential fused implementation and
+//! across thread counts: the merge computes the same minima whatever the
+//! chunking.
 //!
 //! Repeated runs (multi-source queries, bench loops) should go through
 //! [`crate::engine::SsspEngine`], which caches the light/heavy split per
 //! `(graph, Δ)` — the paper measures that filter at 35–40 % of runtime —
-//! and reuses one [`crate::fused::ClassicWorkspace`] across calls.
+//! and reuses one stepping workspace across calls.
 
 use std::sync::OnceLock;
 
@@ -146,7 +147,7 @@ mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
     use crate::engine::SsspEngine;
-    use crate::fused::{classic_loop, delta_stepping_fused, ClassicWorkspace};
+    use crate::fused::delta_stepping_fused;
     use graphdata::gen;
 
     #[test]
@@ -207,34 +208,6 @@ mod tests {
         let b = delta_stepping_parallel_improved(&pool, &g, 0, 1.0);
         assert_eq!(a.dist, b.dist);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn workspace_reuse_across_sources_is_exact() {
-        let pool = ThreadPool::with_threads(4).unwrap();
-        let mut el = gen::gnm(400, 2500, 31);
-        el.symmetrize();
-        el.make_unit_weight();
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let lh = split_light_heavy_chunked(&pool, &g, 1.0);
-        let mut ws = ClassicWorkspace::new(g.num_vertices());
-        for src in [0, 7, 113, 0] {
-            let (reused, _) = classic_loop(
-                Some(&pool),
-                "improved",
-                &g,
-                &lh,
-                src,
-                1.0,
-                &mut RunBudget::unlimited(),
-                &mut ws,
-                None,
-            )
-            .unwrap();
-            let fresh = delta_stepping_parallel_improved(&pool, &g, src, 1.0);
-            assert_eq!(reused.dist, fresh.dist, "source {src}");
-            assert_eq!(reused.stats, fresh.stats, "source {src}");
-        }
     }
 
     #[test]

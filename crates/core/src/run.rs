@@ -161,7 +161,7 @@ pub fn run_checked(
 ///
 /// When the budget stops the run, the returned [`SsspError`] carries a
 /// [`crate::checkpoint::Checkpoint`] with the partial distances and a
-/// `settled_below` certificate; checkpoints from the classic loop
+/// `settled_below` certificate; checkpoints from the stepping driver
 /// (fused, parallel, improved) can be continued, with or without a pool,
 /// via [`crate::engine::SsspEngine::resume_stepping`].
 ///

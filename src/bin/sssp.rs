@@ -113,8 +113,8 @@ struct Options {
     /// one [`SsspEngine`], so the light/heavy split is built once.
     sources: Vec<usize>,
     delta: Option<DeltaArg>,
-    /// Frontier-extraction strategy: classic Δ-buckets (default), or the
-    /// generalized ρ-stepping / Δ*-stepping loops. Applies to the
+    /// Frontier-extraction strategy: classic Δ-buckets (default), or
+    /// ρ-stepping / Δ*-stepping. Applies to the
     /// stepping family (fused/improved) in single, multi-source, and
     /// batch modes.
     strategy: SteppingStrategy,
@@ -433,8 +433,8 @@ fn run_multi(o: &Options, g: &CsrGraph, delta: f64) -> Result<(), Failure> {
         let mut budget = RunBudget::for_run(g, delta, &cfg);
         let t1 = std::time::Instant::now();
         let (result, _) = match &mode {
-            // run_stepping dispatches Classic to the bucket loops, so the
-            // historical --sources behavior is unchanged byte-for-byte.
+            // Classic is the driver run_fused / run_parallel_improved
+            // call, so --sources output matches the single-source modes.
             Mode::Fused => engine.run_stepping(None, src, delta, o.strategy, &mut budget),
             Mode::Improved(pool) => {
                 engine.run_stepping(Some(pool), src, delta, o.strategy, &mut budget)

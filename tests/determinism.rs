@@ -10,10 +10,8 @@ use std::str::FromStr;
 use graphdata::gen::grid2d;
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
-use sssp_core::fused::LightHeavy;
 use sssp_core::result::SsspResult;
 use sssp_core::stats::PhaseProfile;
-use sssp_core::stepping::{stepping_resume_with, stepping_with, SteppingWorkspace};
 use sssp_core::{
     fused, gblas_parallel, parallel, parallel_improved, run_with_budget, Checkpoint, GuardConfig,
     Implementation, RunBudget, SsspError, SteppingStrategy, StopPoint,
@@ -308,7 +306,7 @@ type Outcome = Result<(SsspResult, PhaseProfile), SsspError>;
 type RunFn<'a> = Box<dyn Fn(&mut RunBudget) -> Outcome + 'a>;
 type ResumeFn<'a> = Box<dyn Fn(&Checkpoint, &mut RunBudget) -> Outcome + 'a>;
 
-/// One resumable loop under test: a fresh run from vertex 0 and a
+/// One resumable run under test: a fresh run from vertex 0 and a
 /// resume, each under the given budget.
 struct Resumable<'a> {
     name: &'static str,
@@ -316,45 +314,22 @@ struct Resumable<'a> {
     resume: ResumeFn<'a>,
 }
 
-/// The fused, parallel-improved, ρ and Δ* loops on `g`.
-fn resumables<'a>(
-    g: &'a CsrGraph,
-    lh: &'a LightHeavy,
-    pool: &'a ThreadPool,
-    delta: f64,
-) -> Vec<Resumable<'a>> {
-    let mut out = vec![
-        Resumable {
-            name: "fused",
-            run: Box::new(move |b| fused::delta_stepping_fused_checked(g, 0, delta, b)),
-            resume: Box::new(move |cp, b| SsspEngine::new(g).resume_stepping(None, cp, b)),
-        },
-        Resumable {
-            name: "improved",
-            run: Box::new(move |b| {
-                parallel_improved::delta_stepping_parallel_improved_checked(pool, g, 0, delta, b)
-            }),
-            resume: Box::new(move |cp, b| SsspEngine::new(g).resume_stepping(Some(pool), cp, b)),
-        },
-    ];
-    for (name, strategy) in [
-        ("rho", SteppingStrategy::Rho(4)),
-        ("delta-star", SteppingStrategy::DeltaStar(2.0)),
-    ] {
-        let n = g.num_vertices();
-        out.push(Resumable {
-            name,
-            run: Box::new(move |b| {
-                let mut ws = SteppingWorkspace::new(n);
-                stepping_with(g, lh, 0, delta, strategy, None, b, &mut ws)
-            }),
-            resume: Box::new(move |cp, b| {
-                let mut ws = SteppingWorkspace::new(n);
-                stepping_resume_with(g, lh, cp, None, b, &mut ws)
-            }),
-        });
-    }
-    out
+/// The fused, parallel-improved, ρ and Δ* runs on `g`, each through the
+/// engine's one run path and one resume path.
+fn resumables<'a>(g: &'a CsrGraph, pool: &'a ThreadPool, delta: f64) -> Vec<Resumable<'a>> {
+    [
+        ("fused", None, SteppingStrategy::Classic),
+        ("improved", Some(pool), SteppingStrategy::Classic),
+        ("rho", None, SteppingStrategy::Rho(4)),
+        ("delta-star", None, SteppingStrategy::DeltaStar(2.0)),
+    ]
+    .into_iter()
+    .map(|(name, pool, strategy)| Resumable {
+        name,
+        run: Box::new(move |b| SsspEngine::new(g).run_stepping(pool, 0, delta, strategy, b)),
+        resume: Box::new(move |cp, b| SsspEngine::new(g).resume_stepping(pool, cp, b)),
+    })
+    .collect()
 }
 
 #[test]
@@ -365,8 +340,7 @@ fn every_loop_resumes_bit_identically_at_every_epoch_across_bucket_skips() {
     // bucket ring and the stepping active list are rebuilt from each.
     let pool = ThreadPool::with_threads(2).expect("pool");
     let g = bucket_skip_grid();
-    let lh = LightHeavy::build(&g, SKIP_DELTA);
-    for r in resumables(&g, &lh, &pool, SKIP_DELTA) {
+    for r in resumables(&g, &pool, SKIP_DELTA) {
         let mut b = RunBudget::unlimited();
         let (full, _) = (r.run)(&mut b).expect("valid input");
         let mut stop_points = Vec::new();
@@ -392,25 +366,145 @@ fn every_loop_resumes_bit_identically_at_every_epoch_across_bucket_skips() {
 
 #[test]
 fn budget_ticks_match_the_full_scan() {
-    // Budget ticks are the stop points of every run, so bucket
+    // Budget ticks are the stop points of every run, so classic bucket
     // extraction must spend them exactly as the whole-vector scan did —
-    // including the one tick per jump over empty buckets. The expected
-    // values were measured with the scan.
+    // including the one tick per jump over empty buckets — and ρ/Δ*
+    // exactly one per range and light phase. The classic values were
+    // measured with the scan, the ρ/Δ* ones with the stepping loop
+    // before classic and ρ/Δ* shared a driver.
     let pool = ThreadPool::with_threads(2).expect("pool");
     for (g, delta, want) in [
-        (CsrGraph::from_edge_list(&grid2d(40, 40)).unwrap(), 1.0, 159),
-        (bucket_skip_grid(), SKIP_DELTA, 110),
+        (CsrGraph::from_edge_list(&grid2d(40, 40)).unwrap(), 1.0, [159, 159, 85, 120]),
+        (bucket_skip_grid(), SKIP_DELTA, [110, 110, 83, 72]),
     ] {
-        let lh = LightHeavy::build(&g, delta);
-        for r in resumables(&g, &lh, &pool, delta).into_iter().take(2) {
+        for (r, want) in resumables(&g, &pool, delta).into_iter().zip(want) {
             let mut b = RunBudget::unlimited();
             let (result, _) = (r.run)(&mut b).expect("valid input");
             assert_eq!(b.ticks(), want, "{}", r.name);
-            // One tick per bucket and light phase, one for the final
-            // check; the rest are jumps over empty buckets.
+            // One tick per range and light phase, one for the final
+            // check; the rest are classic jumps over empty buckets (Δ*
+            // ranges start at the first non-empty bucket).
             let jumps =
                 want - result.stats.buckets_processed as u64 - result.stats.light_phases as u64 - 1;
-            assert_eq!(jumps > 0, delta == SKIP_DELTA, "{}", r.name);
+            let classic = matches!(r.name, "fused" | "improved");
+            assert_eq!(jumps > 0, classic && delta == SKIP_DELTA, "{}", r.name);
         }
+    }
+}
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn checkpoint_bytes_match_the_recorded_digests() {
+    // GBSSCKP2 files outlive the code that wrote them (daemon manifests
+    // keep them on disk), so the bytes a cancelled run serializes are
+    // pinned: digests recorded before classic and ρ/Δ* shared one
+    // driver. Classic runs carry their own tag and no stepping section;
+    // ρ/Δ* runs carry `stepping`.
+    const EPOCHS: [u64; 7] = [0, 1, 2, 5, 13, 34, 60];
+    const DIGESTS: [(&str, [u64; 7]); 4] = [
+        (
+            "fused",
+            [
+                0xe6f1_8d14_cc2e_f04f,
+                0x29e0_65f8_b13c_81e8,
+                0x8955_3deb_865f_a74b,
+                0xdd31_2567_52bb_1408,
+                0xc662_73b8_b309_5dda,
+                0xb281_c1d0_3805_24f5,
+                0xd270_4105_3fec_38f3,
+            ],
+        ),
+        (
+            "improved",
+            [
+                0xe2ec_aaea_e362_2b0a,
+                0x0320_c357_e7d2_c211,
+                0x7aaf_a568_3903_58aa,
+                0xb0e6_62a8_7d37_1545,
+                0xa51a_2214_a6d4_72cf,
+                0xfb7f_8419_8630_48c8,
+                0x5db3_ce9f_7591_3716,
+            ],
+        ),
+        (
+            "rho",
+            [
+                0x985e_8725_9730_994b,
+                0xb040_faeb_a617_9d2d,
+                0xb933_0c22_d778_430a,
+                0xcf05_6cd9_5f44_af70,
+                0x0f9b_6606_6bce_d05e,
+                0x1c19_865e_5269_cb1d,
+                0x17d2_104a_558a_7bf7,
+            ],
+        ),
+        (
+            "delta-star",
+            [
+                0x459c_5a62_cfc6_4c0e,
+                0xded1_bb7a_6511_4f08,
+                0x95c5_6aba_ec87_8793,
+                0x8feb_310c_11e8_8f8a,
+                0x7335_b392_d3f6_005f,
+                0x4ab5_780e_757e_1e37,
+                0x7c45_b619_4d3a_f97b,
+            ],
+        ),
+    ];
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    let g = bucket_skip_grid();
+    for (r, (name, digests)) in resumables(&g, &pool, SKIP_DELTA).into_iter().zip(DIGESTS) {
+        assert_eq!(r.name, name);
+        let tag = match name {
+            "fused" | "improved" => name,
+            _ => "stepping",
+        };
+        for (k, want) in EPOCHS.into_iter().zip(digests) {
+            let cp = (r.run)(&mut RunBudget::unlimited().cancel_after(k))
+                .expect_err("cancel_after must stop the run")
+                .into_checkpoint()
+                .expect("cancellation carries a checkpoint");
+            assert_eq!(cp.implementation, tag, "{name} epoch {k}");
+            assert_eq!(cp.stepping.is_some(), tag == "stepping", "{name} epoch {k}");
+            let got = fnv1a(&cp.to_bytes(g.fingerprint()));
+            assert_eq!(got, want, "{name} epoch {k}: {got:#018x}");
+        }
+    }
+}
+
+#[test]
+fn crafted_out_of_bucket_checkpoint_is_rejected_not_resumed() {
+    // A fused checkpoint edited to stop mid-bucket at the last bucket
+    // index, with the source as its frontier: structurally well formed,
+    // but the frontier lies outside the bucket. Resuming it would advance
+    // the bucket index past `usize::MAX` (a debug overflow panic, or a
+    // wrapped index and unreached vertices in release), so it must be an
+    // InvalidCheckpoint everywhere it can enter.
+    let g = CsrGraph::from_edge_list(&grid2d(6, 6)).unwrap();
+    let mut engine = SsspEngine::new(&g);
+    let mut cp = engine
+        .run_fused(0, 1.0, &mut RunBudget::unlimited().cancel_after(3))
+        .expect_err("cancel_after must stop the run")
+        .into_checkpoint()
+        .expect("cancellation carries a checkpoint");
+    cp.bucket = usize::MAX;
+    cp.stop_point = StopPoint::LightPhase;
+    cp.frontier = vec![0];
+    cp.settled = Vec::new();
+    assert!(matches!(cp.validate(g.num_vertices()), Err(SsspError::InvalidCheckpoint { .. })));
+    assert!(matches!(
+        Checkpoint::from_bytes(&cp.to_bytes(g.fingerprint())),
+        Err(SsspError::InvalidCheckpoint { .. })
+    ));
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    for pool in [None, Some(&pool)] {
+        let out = engine.resume_stepping(pool, &cp, &mut RunBudget::unlimited());
+        assert!(matches!(out, Err(SsspError::InvalidCheckpoint { .. })), "{out:?}");
     }
 }

@@ -6,9 +6,9 @@
 //!    factors all reproduce Dijkstra's distance vector bit-for-bit on
 //!    the paper suite and the weighted suite, sequentially and on
 //!    1/2/4-thread pools.
-//! 2. **Determinism across schedules** — for the generalized loop,
-//!    stats (not just distances) are identical between the pool-less
-//!    path and every pool width, across repeated runs.
+//! 2. **Determinism across schedules** — for every strategy, stats
+//!    (not just distances) are identical between the pool-less path and
+//!    every pool width, across repeated runs.
 //! 3. **Cancellation chaos** — cancel ρ- and Δ*-stepping runs at
 //!    *every* budget epoch the uninterrupted run passes through: the
 //!    checkpoint validates, everything it certifies is final, and both
@@ -82,17 +82,12 @@ fn check_exact(name: &str, g: &CsrGraph, src: usize, delta: f64) {
                     oracle,
                     "{strategy} on {name}: distances diverged at {threads} thread(s), rep {rep}"
                 );
-                // The generalized loop is one algorithm with two
-                // execution modes, so stats match the sequential run
-                // exactly; classic Δ dispatches to two *different*
-                // implementations (fused vs parallel-improved) whose
-                // phase accounting legitimately differs.
-                if strategy != SteppingStrategy::Classic {
-                    assert_eq!(
-                        par.stats, seq.stats,
-                        "{strategy} on {name}: stats diverged at {threads} thread(s), rep {rep}"
-                    );
-                }
+                // Every strategy is one driver with two relaxation back
+                // ends, so stats match the sequential run exactly.
+                assert_eq!(
+                    par.stats, seq.stats,
+                    "{strategy} on {name}: stats diverged at {threads} thread(s), rep {rep}"
+                );
             }
         }
     }
